@@ -16,7 +16,7 @@
 //!     --jobs 2000 --nodes 32 --seed 7 --plan-every 8 --shards 4
 //!
 //! # Observability: dump a Perfetto-loadable chrome trace and a
-//! # Prometheus metrics snapshot of the second run:
+//! # Prometheus snapshot of the metrics the second run added:
 //! cargo run --release -p flexsp-bench --bin trace_replay -- \
 //!     --quick --trace-out trace.json --metrics-out metrics.prom
 //! ```
@@ -62,9 +62,11 @@ fn main() {
     cfg.plan_every = plan_every;
 
     let first = replay(&trace, &cfg);
-    // Only the second run is traced: the span ring drains into exactly
-    // one replay's timeline, and the hash check still proves the tracer
-    // never leaks into the observation log.
+    // Only the second run is traced and measured: the span ring drains
+    // into exactly one replay's timeline, the metrics are the registry's
+    // change over that run alone, and the hash check still proves the
+    // tracer never leaks into the observation log.
+    let before = tel::metrics_snapshot();
     if trace_out.is_some() {
         tel::tracing_start();
     }
@@ -78,7 +80,8 @@ fn main() {
         eprintln!("wrote {path}");
     }
     if let Some(path) = &metrics_out {
-        std::fs::write(path, tel::metrics_snapshot().to_prometheus()).unwrap_or_else(|e| {
+        let run = tel::metrics_snapshot().since(&before);
+        std::fs::write(path, run.to_prometheus()).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(2);
         });

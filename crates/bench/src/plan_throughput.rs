@@ -32,7 +32,7 @@
 //! had), which serializes worker threads; objective agreement is always
 //! asserted.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use flexsp_core::bucketing::bucket_dp;
 use flexsp_core::{
@@ -341,7 +341,6 @@ pub fn run(quick: bool) -> Report {
     for &threads in thread_counts {
         let cfg = PlannerConfig {
             formulation: Formulation::PerGroup,
-            milp_time_limit: Duration::from_secs(10),
             milp_node_limit: 200_000,
             milp_threads: threads,
             ..PlannerConfig::default()

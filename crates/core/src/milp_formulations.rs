@@ -6,7 +6,7 @@
 
 use flexsp_cost::CostModel;
 use flexsp_data::Sequence;
-use flexsp_milp::{Basis, LinExpr, MilpSolver, Problem, VarId, VarKind};
+use flexsp_milp::{Basis, BranchRule, LinExpr, MilpSolver, Problem, VarId, VarKind};
 use flexsp_sim::{GroupShape, NodeSlots};
 use flexsp_telemetry as tel;
 
@@ -86,9 +86,14 @@ pub(crate) fn plan_aggregated(
         let c = 0.5 * (lo + hi);
         stats.search_steps += 1;
         model.set_makespan(cost, buckets, &shapes, c);
+        // The `n_s` columns are declared before the `x_{q,s}` columns, so
+        // first-fractional branching settles group counts first. A step
+        // that finds nothing within the barren budget counts as
+        // infeasible, exactly like a step proven infeasible.
         let mut solver = MilpSolver::new()
-            .time_limit(config.milp_time_limit)
             .node_limit(config.milp_node_limit)
+            .barren_node_limit(config.milp_barren_nodes)
+            .branching(BranchRule::FirstFractional)
             .relative_gap(0.02)
             .lp_engine(config.lp_engine)
             .threads(config.milp_threads);
@@ -510,7 +515,6 @@ pub(crate) fn plan_per_group(
     let warm_values = warm_start_values(cost, buckets, &slots, warm, 1 + np, q, np);
 
     let mut solver = MilpSolver::new()
-        .time_limit(config.milp_time_limit)
         .node_limit(config.milp_node_limit)
         .relative_gap(config.search_rel_tol)
         .lp_engine(config.lp_engine)

@@ -28,8 +28,6 @@
 //! [`DeviceGroup`](flexsp_sim::DeviceGroup)s and the *realized* shapes,
 //! and its predicted time is computed from those shapes.
 
-use std::time::Duration;
-
 use flexsp_cost::CostModel;
 use flexsp_data::Sequence;
 use flexsp_milp::LpEngine;
@@ -57,10 +55,15 @@ pub enum Formulation {
 pub struct PlannerConfig {
     /// Optimization strategy.
     pub formulation: Formulation,
-    /// Wall-clock budget per MILP solve.
-    pub milp_time_limit: Duration,
     /// Node budget per MILP solve.
     pub milp_node_limit: u64,
+    /// Barren-node budget per makespan-search step (aggregated form): a
+    /// step that expands this many branch-and-bound nodes without finding
+    /// a feasible assignment stops and counts as infeasible. Every planner
+    /// budget is counted in nodes, never in wall-clock time, so with
+    /// `milp_threads == 1` a plan is the same on any machine under any
+    /// load.
+    pub milp_barren_nodes: u64,
     /// Binary-search iterations over the makespan (aggregated form).
     pub search_iters: usize,
     /// Stop the binary search when the bracket is this tight (relative).
@@ -80,8 +83,8 @@ impl Default for PlannerConfig {
     fn default() -> Self {
         Self {
             formulation: Formulation::Aggregated,
-            milp_time_limit: Duration::from_millis(250),
             milp_node_limit: 4_000,
+            milp_barren_nodes: 500,
             search_iters: 14,
             search_rel_tol: 0.01,
             lp_engine: LpEngine::SparseRevised,
@@ -94,8 +97,8 @@ impl PlannerConfig {
     /// Experiment-throughput settings: shorter MILP budgets.
     pub fn fast() -> Self {
         Self {
-            milp_time_limit: Duration::from_millis(40),
             milp_node_limit: 400,
+            milp_barren_nodes: 96,
             search_iters: 9,
             search_rel_tol: 0.02,
             ..Self::default()
@@ -945,7 +948,6 @@ mod tests {
         let buckets = bucket_dp(&input, 6);
         let cfg = PlannerConfig {
             formulation: Formulation::PerGroup,
-            milp_time_limit: Duration::from_secs(2),
             milp_node_limit: 50_000,
             ..PlannerConfig::default()
         };
@@ -966,7 +968,6 @@ mod tests {
         let buckets = bucket_dp(&input, 6);
         let exact_cfg = PlannerConfig {
             formulation: Formulation::PerGroup,
-            milp_time_limit: Duration::from_secs(2),
             milp_node_limit: 50_000,
             ..PlannerConfig::default()
         };

@@ -35,6 +35,8 @@ pub struct SolveStats {
     /// Relaxations where a supplied basis had to be dropped for a cold
     /// start.
     pub basis_reuse_misses: u64,
+    /// Why each solve stopped: one count per solve.
+    pub stops: StopCounts,
 }
 
 impl SolveStats {
@@ -64,6 +66,7 @@ impl SolveStats {
         self.refactorizations += other.refactorizations;
         self.basis_reuse_hits += other.basis_reuse_hits;
         self.basis_reuse_misses += other.basis_reuse_misses;
+        self.stops.absorb(&other.stops);
     }
 
     fn absorb_lp(&mut self, lp: &LpStats) {
@@ -80,13 +83,90 @@ impl SolveStats {
     }
 }
 
+/// Why a branch-and-bound solve stopped. Every solve records exactly one
+/// in [`SolveStats::stops`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StopReason {
+    /// The global bound closed the relative gap on the incumbent.
+    GapClosed,
+    /// Every open node was expanded or pruned.
+    Drained,
+    /// The barren-node budget ran out before any incumbent was found
+    /// (see [`MilpSolver::barren_node_limit`]); reported as infeasible.
+    BarrenBudget,
+    /// The node budget ran out.
+    NodeLimit,
+    /// The wall-clock budget ran out — the only stop that depends on
+    /// machine speed.
+    WallClock,
+    /// The root relaxation is infeasible.
+    InfeasibleRoot,
+    /// The root relaxation is unbounded.
+    UnboundedRoot,
+}
+
+/// Per-[`StopReason`] solve counts, indexed by variant; sums across
+/// solves with [`SolveStats::absorb`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StopCounts([u64; 7]);
+
+impl StopCounts {
+    /// Solves that stopped for `reason`.
+    pub fn get(&self, reason: StopReason) -> u64 {
+        self.0[reason as usize]
+    }
+
+    /// Solves counted, over all reasons.
+    pub fn total(&self) -> u64 {
+        self.0.iter().sum()
+    }
+
+    fn record(&mut self, reason: StopReason) {
+        self.0[reason as usize] += 1;
+    }
+
+    fn absorb(&mut self, other: &StopCounts) {
+        for (a, b) in self.0.iter_mut().zip(other.0) {
+            *a += b;
+        }
+    }
+}
+
+/// Which fractional integer variable a node branches on.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum BranchRule {
+    /// The variable whose fractional part is closest to ½ (default).
+    #[default]
+    MostFractional,
+    /// The first fractional variable in declaration order: a model that
+    /// declares its structural integers first (e.g. group counts before
+    /// assignments) has B&B settle those before anything else.
+    FirstFractional,
+}
+
+impl BranchRule {
+    /// The variable to branch on and its value, or `None` when every
+    /// integer variable is integral.
+    fn pick(self, values: &[f64], int_vars: &[usize]) -> Option<(usize, f64)> {
+        match self {
+            BranchRule::MostFractional => most_fractional(values, int_vars),
+            BranchRule::FirstFractional => int_vars.iter().find_map(|&j| {
+                let frac = values[j] - values[j].floor();
+                (frac > INT_TOL && frac < 1.0 - INT_TOL).then_some((j, values[j]))
+            }),
+        }
+    }
+}
+
 /// Configurable branch-and-bound MILP solver.
 ///
 /// The solver is a *good-incumbent-fast* design matching how the FlexSP
 /// paper uses SCIP: it accepts a warm-start incumbent, hunts for feasible
 /// solutions with a fix-and-complete rounding heuristic, and stops at a
-/// time, node, or relative-gap limit, reporting [`MilpStatus::Feasible`]
-/// when optimality was not proven.
+/// node, barren-node, relative-gap, or (opt-in) wall-clock limit,
+/// reporting [`MilpStatus::Feasible`] when optimality was not proven.
+/// Without a wall-clock limit every stop is counted in nodes, so a serial
+/// solve is the same search on any machine under any load.
 ///
 /// # Example
 ///
@@ -110,8 +190,10 @@ impl SolveStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MilpSolver {
-    time_limit: Duration,
+    time_limit: Option<Duration>,
     node_limit: u64,
+    barren_node_limit: u64,
+    branch_rule: BranchRule,
     relative_gap: f64,
     warm_start: Option<Vec<f64>>,
     rounding_heuristic: bool,
@@ -128,13 +210,16 @@ impl Default for MilpSolver {
 }
 
 impl MilpSolver {
-    /// Creates a solver with defaults: 30 s time limit, 200 000 nodes,
-    /// 10⁻⁶ relative gap, rounding heuristic enabled, sparse LP engine
-    /// with parent-basis reuse.
+    /// Creates a solver with defaults: no wall-clock limit, 200 000
+    /// nodes, no barren-node limit, 10⁻⁶ relative gap, most-fractional
+    /// branching, rounding heuristic enabled, sparse LP engine with
+    /// parent-basis reuse.
     pub fn new() -> Self {
         Self {
-            time_limit: Duration::from_secs(30),
+            time_limit: None,
             node_limit: 200_000,
+            barren_node_limit: u64::MAX,
+            branch_rule: BranchRule::MostFractional,
             relative_gap: 1e-6,
             warm_start: None,
             rounding_heuristic: true,
@@ -145,16 +230,35 @@ impl MilpSolver {
         }
     }
 
-    /// Sets the wall-clock budget. When exhausted, the best incumbent is
-    /// returned with [`MilpStatus::Feasible`].
+    /// Sets a wall-clock budget (none by default). When exhausted, the
+    /// best incumbent is returned with [`MilpStatus::Feasible`] and the
+    /// stop is recorded as [`StopReason::WallClock`]. Where the search
+    /// stops then depends on machine speed and load, so callers that
+    /// must be deterministic bound the search in nodes instead.
     pub fn time_limit(mut self, limit: Duration) -> Self {
-        self.time_limit = limit;
+        self.time_limit = Some(limit);
         self
     }
 
     /// Sets the node budget.
     pub fn node_limit(mut self, limit: u64) -> Self {
         self.node_limit = limit;
+        self
+    }
+
+    /// Gives up once `limit` nodes have been expanded without finding an
+    /// incumbent (none by default): the solve reports
+    /// [`MilpStatus::Infeasible`] with [`StopReason::BarrenBudget`]. Suits
+    /// feasibility probes that treat "no answer yet" as "no".
+    pub fn barren_node_limit(mut self, limit: u64) -> Self {
+        self.barren_node_limit = limit;
+        self
+    }
+
+    /// Selects the branching variable rule (default
+    /// [`BranchRule::MostFractional`]).
+    pub fn branching(mut self, rule: BranchRule) -> Self {
+        self.branch_rule = rule;
         self
     }
 
@@ -199,7 +303,7 @@ impl MilpSolver {
     /// search unchanged. With `n > 1`, `n` workers drain one shared open
     /// node heap, share one atomic incumbent, and re-solve children warm
     /// from their parents' bases exactly as the serial search does; the
-    /// wall-clock deadline and node budget are shared across workers.
+    /// node budgets and any wall-clock deadline are shared across workers.
     /// Any thread count returns the same objective (the search only
     /// terminates when the global bound — over open *and* in-flight
     /// nodes — proves the incumbent optimal within the configured gap),
@@ -274,7 +378,7 @@ impl MilpSolver {
                     incumbent,
                     f64::NEG_INFINITY,
                     sense_sign,
-                    MilpStatus::Infeasible,
+                    StopReason::InfeasibleRoot,
                     stats,
                     start,
                     None,
@@ -289,7 +393,7 @@ impl MilpSolver {
                     None,
                     f64::NEG_INFINITY,
                     sense_sign,
-                    MilpStatus::Unbounded,
+                    StopReason::UnboundedRoot,
                     stats,
                     start,
                     None,
@@ -316,7 +420,6 @@ impl MilpSolver {
             );
         }
         let mut next_seq: u64 = 1;
-        let mut status = MilpStatus::Optimal;
         while let Some(node) = heap.pop() {
             // Global bound = best open node (best-first ⇒ the popped one).
             let bound = match &incumbent {
@@ -324,40 +427,23 @@ impl MilpSolver {
                 None => node.score,
             };
             if let Some((_, inc)) = &incumbent {
-                if self.gap_closed(*inc, bound) {
-                    return Ok(self.finish(
-                        problem,
-                        incumbent,
-                        bound,
-                        sense_sign,
-                        MilpStatus::Optimal,
-                        stats,
-                        start,
-                        root_basis,
-                    ));
-                }
-                if node.score >= *inc - 1e-9 {
+                let stop = if self.gap_closed(*inc, bound) {
+                    Some(StopReason::GapClosed)
+                } else if node.score >= *inc - 1e-9 {
                     // Nothing left can improve the incumbent.
+                    Some(StopReason::Drained)
+                } else {
+                    None
+                };
+                if let Some(stop) = stop {
                     return Ok(self.finish(
-                        problem,
-                        incumbent,
-                        bound,
-                        sense_sign,
-                        MilpStatus::Optimal,
-                        stats,
-                        start,
-                        root_basis,
+                        problem, incumbent, bound, sense_sign, stop, stats, start, root_basis,
                     ));
                 }
             }
-            if start.elapsed() > self.time_limit || stats.nodes >= self.node_limit {
-                status = if incumbent.is_some() {
-                    MilpStatus::Feasible
-                } else {
-                    MilpStatus::Infeasible
-                };
+            if let Some(stop) = self.budget_stop(stats.nodes, incumbent.is_some(), start) {
                 return Ok(self.finish(
-                    problem, incumbent, bound, sense_sign, status, stats, start, root_basis,
+                    problem, incumbent, bound, sense_sign, stop, stats, start, root_basis,
                 ));
             }
 
@@ -395,8 +481,7 @@ impl MilpSolver {
                 }
             }
 
-            let frac = most_fractional(&lp.values, &int_vars);
-            match frac {
+            match self.branch_rule.pick(&lp.values, &int_vars) {
                 None => {
                     // Integral: new incumbent.
                     let mut vals = lp.values.clone();
@@ -427,7 +512,6 @@ impl MilpSolver {
                             }
                         }
                     }
-                    // Branch on the most fractional variable.
                     let (lo, hi) = node.bounds[bvar];
                     let floor = bval.floor();
                     if floor >= lo - FEAS_TOL {
@@ -465,13 +549,15 @@ impl MilpSolver {
 
         // Heap exhausted: incumbent (if any) is optimal.
         let bound = incumbent.as_ref().map(|(_, s)| *s).unwrap_or(f64::INFINITY);
-        let status = if incumbent.is_some() {
-            status
-        } else {
-            MilpStatus::Infeasible
-        };
         Ok(self.finish(
-            problem, incumbent, bound, sense_sign, status, stats, start, root_basis,
+            problem,
+            incumbent,
+            bound,
+            sense_sign,
+            StopReason::Drained,
+            stats,
+            start,
+            root_basis,
         ))
     }
 
@@ -479,8 +565,8 @@ impl MilpSolver {
     /// [`MilpSolver::solve`] (root already expanded). `threads` workers
     /// drain the lock-protected heap under a condvar, share one atomic
     /// incumbent, re-solve children warm from their parents' bases, and
-    /// respect the shared wall-clock deadline and node budget. The search
-    /// terminates only when (a) the heap drains with every worker idle,
+    /// respect the shared node budgets and any wall-clock deadline. The
+    /// search terminates only when (a) the heap drains with every worker idle,
     /// (b) the global bound over open *and* in-flight nodes closes the
     /// gap, or (c) a shared limit trips — so any thread count returns the
     /// same objective as the serial search.
@@ -539,24 +625,12 @@ impl MilpSolver {
         }
         let stop = state.stop.unwrap_or(StopReason::Drained);
         let incumbent = state.incumbent;
-        let status = match stop {
-            // `finish` downgrades Optimal to Infeasible when no incumbent
-            // exists, mirroring the serial drain path.
-            StopReason::Drained | StopReason::GapClosed => MilpStatus::Optimal,
-            StopReason::Limit => {
-                if incumbent.is_some() {
-                    MilpStatus::Feasible
-                } else {
-                    MilpStatus::Infeasible
-                }
-            }
-        };
         let bound = match stop {
             StopReason::Drained => incumbent.as_ref().map(|(_, s)| *s).unwrap_or(f64::INFINITY),
             _ => state.final_bound,
         };
         Ok(self.finish(
-            problem, incumbent, bound, sense_sign, status, stats, start, root_basis,
+            problem, incumbent, bound, sense_sign, stop, stats, start, root_basis,
         ))
     }
 
@@ -607,6 +681,22 @@ impl MilpSolver {
         }
     }
 
+    /// The budget that stops the search before it expands node number
+    /// `nodes + 1`, if one has run out. The node-counted budgets are
+    /// checked first, so a stop the node counts explain is never
+    /// reported as [`StopReason::WallClock`].
+    fn budget_stop(&self, nodes: u64, has_incumbent: bool, start: Instant) -> Option<StopReason> {
+        if !has_incumbent && nodes >= self.barren_node_limit {
+            Some(StopReason::BarrenBudget)
+        } else if nodes >= self.node_limit {
+            Some(StopReason::NodeLimit)
+        } else if self.time_limit.is_some_and(|limit| start.elapsed() > limit) {
+            Some(StopReason::WallClock)
+        } else {
+            None
+        }
+    }
+
     fn gap_closed(&self, incumbent_score: f64, bound: f64) -> bool {
         (incumbent_score - bound) <= self.relative_gap * incumbent_score.abs().max(1.0) + 1e-12
     }
@@ -618,8 +708,8 @@ impl MilpSolver {
         incumbent: Option<(Vec<f64>, f64)>,
         bound_score: f64,
         sense_sign: f64,
-        status: MilpStatus,
-        stats: SolveStats,
+        stop: StopReason,
+        mut stats: SolveStats,
         start: Instant,
         root_basis: Option<Basis>,
     ) -> MilpSolution {
@@ -627,10 +717,23 @@ impl MilpSolver {
             Some((vals, _)) => (vals.clone(), problem.objective_value(vals)),
             None => (Vec::new(), f64::NAN),
         };
-        let status = match (status, incumbent.is_some()) {
-            (MilpStatus::Optimal, false) => MilpStatus::Infeasible,
-            (s, _) => s,
+        let found = incumbent.is_some();
+        let status = match stop {
+            StopReason::GapClosed | StopReason::Drained if found => MilpStatus::Optimal,
+            StopReason::NodeLimit | StopReason::WallClock if found => MilpStatus::Feasible,
+            StopReason::UnboundedRoot => MilpStatus::Unbounded,
+            _ => MilpStatus::Infeasible,
         };
+        stats.stops.record(stop);
+        match stop {
+            StopReason::GapClosed => tel::count!("flexsp.milp.stop_gap_closed"),
+            StopReason::Drained => tel::count!("flexsp.milp.stop_drained"),
+            StopReason::BarrenBudget => tel::count!("flexsp.milp.stop_barren_budget"),
+            StopReason::NodeLimit => tel::count!("flexsp.milp.stop_node_limit"),
+            StopReason::WallClock => tel::count!("flexsp.milp.stop_wall_clock"),
+            StopReason::InfeasibleRoot => tel::count!("flexsp.milp.stop_infeasible_root"),
+            StopReason::UnboundedRoot => tel::count!("flexsp.milp.stop_unbounded_root"),
+        }
         tel::count!("flexsp.milp.solves");
         tel::count!("flexsp.milp.nodes", stats.nodes);
         tel::count!("flexsp.milp.lp_solves", stats.lp_solves);
@@ -718,17 +821,6 @@ impl Ord for OpenNode {
     }
 }
 
-/// Why the parallel search stopped.
-#[derive(Debug, Clone, Copy)]
-enum StopReason {
-    /// Heap drained with every worker idle — the incumbent is optimal.
-    Drained,
-    /// Global bound (open ∪ in-flight nodes) closed the relative gap.
-    GapClosed,
-    /// Wall-clock deadline or node budget tripped.
-    Limit,
-}
-
 /// Mutable search state shared by all branch-and-bound workers, guarded
 /// by a single mutex. Workers hold it only to claim a node and to push
 /// children; LP solves happen outside the lock.
@@ -747,7 +839,7 @@ struct SearchState {
     /// Best feasible point: `(values, score)` in minimize-score space.
     incumbent: Option<(Vec<f64>, f64)>,
     stop: Option<StopReason>,
-    /// Best bound to report when stopping on `GapClosed` / `Limit`.
+    /// Best bound to report when stopping on the gap or a budget.
     final_bound: f64,
     /// First LP error; aborts the whole search.
     error: Option<SolveError>,
@@ -851,14 +943,16 @@ impl SharedSearch<'_> {
                 };
                 continue;
             }
-            if self.start.elapsed() > self.solver.time_limit || st.claimed >= self.solver.node_limit
+            if let Some(stop) =
+                self.solver
+                    .budget_stop(st.claimed, st.incumbent.is_some(), self.start)
             {
                 let bound = Self::global_bound(&st);
                 st.final_bound = match &st.incumbent {
                     Some((_, inc)) => bound.min(*inc),
                     None => bound,
                 };
-                st.stop = Some(StopReason::Limit);
+                st.stop = Some(stop);
                 self.work.notify_all();
                 break;
             }
@@ -941,7 +1035,7 @@ impl SharedSearch<'_> {
         if lp_score >= self.best_score() - 1e-9 {
             return Ok(Vec::new());
         }
-        match most_fractional(&lp.values, self.int_vars) {
+        match solver.branch_rule.pick(&lp.values, self.int_vars) {
             None => {
                 // Integral: candidate incumbent.
                 let mut vals = lp.values.clone();
@@ -1308,6 +1402,133 @@ mod tests {
         // feasible (not proven optimal) incumbent, as in the serial path.
         assert_eq!(sol.status(), MilpStatus::Feasible);
         approx(sol.objective(), 0.0);
+    }
+
+    /// True when `sol` is one solve that stopped for `reason`.
+    fn stopped(sol: &MilpSolution, reason: StopReason) -> bool {
+        let stops = sol.stats().stops;
+        stops.total() == 1 && stops.get(reason) == 1
+    }
+
+    #[test]
+    fn every_solve_records_one_stop_reason() {
+        let (p, _) = wide_knapsack();
+        let solved = MilpSolver::new().solve(&p).unwrap();
+        assert!(
+            stopped(&solved, StopReason::GapClosed) || stopped(&solved, StopReason::Drained),
+            "{:?}",
+            solved.stats()
+        );
+        let capped = MilpSolver::new()
+            .node_limit(0)
+            .warm_start(vec![0.0; 10])
+            .solve(&p)
+            .unwrap();
+        assert!(stopped(&capped, StopReason::NodeLimit));
+
+        let mut infeasible = Problem::minimize();
+        let x = infeasible.add_binary("x");
+        infeasible.add_ge(LinExpr::term(x, 1.0), 2.0);
+        infeasible.set_objective(LinExpr::term(x, 1.0));
+        let sol = MilpSolver::new().solve(&infeasible).unwrap();
+        assert!(stopped(&sol, StopReason::InfeasibleRoot));
+
+        let mut unbounded = Problem::maximize();
+        let y = unbounded.add_var("y", VarKind::Integer, 0.0, f64::INFINITY);
+        unbounded.set_objective(LinExpr::term(y, 1.0));
+        let sol = MilpSolver::new().solve(&unbounded).unwrap();
+        assert!(stopped(&sol, StopReason::UnboundedRoot));
+
+        let mut sum = solved.stats();
+        sum.absorb(&capped.stats());
+        assert_eq!(sum.stops.total(), 2);
+        assert_eq!(sum.stops.get(StopReason::NodeLimit), 1);
+    }
+
+    /// Integer-infeasible, but only branching can tell: `2(x1 + … + x6)
+    /// = 7` has fractional LP solutions at every node until the search
+    /// runs out of subtrees.
+    fn parity_trap() -> Problem {
+        let mut p = Problem::minimize();
+        let xs: Vec<_> = (0..6)
+            .map(|i| p.add_var(format!("x{i}"), VarKind::Integer, 0.0, 3.0))
+            .collect();
+        p.add_eq(LinExpr::from_terms(xs.iter().map(|&x| (x, 2.0))), 7.0);
+        p.set_objective(LinExpr::from_terms(xs.iter().map(|&x| (x, 1.0))));
+        p
+    }
+
+    #[test]
+    fn barren_budget_gives_up_without_an_incumbent() {
+        let p = parity_trap();
+        let full = MilpSolver::new().solve(&p).unwrap();
+        assert_eq!(full.status(), MilpStatus::Infeasible);
+        assert!(stopped(&full, StopReason::Drained));
+        assert!(full.nodes() > 8, "needs a real tree: {}", full.nodes());
+        for threads in [1, 4] {
+            let barren = MilpSolver::new()
+                .barren_node_limit(8)
+                .threads(threads)
+                .solve(&p)
+                .unwrap();
+            assert_eq!(barren.status(), MilpStatus::Infeasible);
+            assert!(stopped(&barren, StopReason::BarrenBudget));
+            assert_eq!(barren.nodes(), 8, "threads={threads}");
+        }
+        // A zero budget stops before the first node, unless an incumbent
+        // (here a warm start) is already in hand.
+        let (k, best) = wide_knapsack();
+        let cold = MilpSolver::new().barren_node_limit(0).solve(&k).unwrap();
+        assert!(stopped(&cold, StopReason::BarrenBudget));
+        let warm = MilpSolver::new()
+            .barren_node_limit(0)
+            .warm_start(vec![0.0; 10])
+            .solve(&k)
+            .unwrap();
+        assert_eq!(warm.status(), MilpStatus::Optimal);
+        approx(warm.objective(), best);
+    }
+
+    #[test]
+    fn first_fractional_branching_reaches_the_same_optimum() {
+        let (p, best) = wide_knapsack();
+        for threads in [1, 4] {
+            let sol = MilpSolver::new()
+                .branching(BranchRule::FirstFractional)
+                .threads(threads)
+                .solve(&p)
+                .unwrap();
+            assert_eq!(sol.status(), MilpStatus::Optimal);
+            approx(sol.objective(), best);
+        }
+        // It picks the lowest-index fractional variable; the default rule
+        // picks the one nearest ½.
+        let values = [0.0, 0.9, 2.0, 0.5];
+        let ints = [0, 1, 2, 3];
+        assert_eq!(
+            BranchRule::FirstFractional.pick(&values, &ints),
+            Some((1, 0.9))
+        );
+        assert_eq!(
+            BranchRule::MostFractional.pick(&values, &ints),
+            Some((3, 0.5))
+        );
+        assert_eq!(BranchRule::FirstFractional.pick(&[1.0, 2.0], &[0, 1]), None);
+    }
+
+    #[test]
+    fn node_budgeted_serial_search_is_repeatable() {
+        let p = parity_trap();
+        let run = || {
+            MilpSolver::new()
+                .node_limit(40)
+                .branching(BranchRule::FirstFractional)
+                .solve(&p)
+                .unwrap()
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(a.stats(), b.stats());
+        assert!(stopped(&a, StopReason::NodeLimit));
     }
 
     #[test]

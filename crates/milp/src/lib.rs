@@ -8,12 +8,12 @@
 //! (MILP) and solves it with SCIP. This crate is a from-scratch replacement
 //! for that dependency: a dense, bounded-variable, two-phase primal simplex
 //! for linear relaxations ([`solve_lp`]) and a best-first branch-and-bound
-//! driver with warm starts, a rounding heuristic, and time/node/gap limits
-//! ([`MilpSolver`]).
+//! search with warm starts, a rounding heuristic, and node/gap limits plus
+//! an opt-in wall-clock limit ([`MilpSolver`]).
 //!
 //! The solver is deliberately engineered for the planner's regime —
 //! problems with a few hundred rows and a few hundred to a couple of
-//! thousand variables, solved under a wall-clock budget (the paper reports
+//! thousand variables, solved under a tight budget (the paper reports
 //! 5–15 s per solve) where a good *feasible* plan matters more than a proven
 //! optimum.
 //!
@@ -87,7 +87,7 @@ mod solution;
 mod sparse;
 
 pub use basis::Basis;
-pub use branch_bound::{MilpSolver, SolveStats};
+pub use branch_bound::{BranchRule, MilpSolver, SolveStats, StopCounts, StopReason};
 pub use error::SolveError;
 pub use expr::{LinExpr, VarId};
 pub use problem::{Cmp, Constraint, ObjectiveSense, Problem, VarKind};

@@ -112,6 +112,41 @@ fn prom_name(name: &str) -> String {
 }
 
 impl MetricsSnapshot {
+    /// What happened between `earlier` and `self`: counters and
+    /// histograms minus their `earlier` values (metrics registered
+    /// since count from zero), gauges as they are now. Scopes the
+    /// process-wide registry to one run.
+    pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
+        let counters = self
+            .counters
+            .iter()
+            .map(|&(name, v)| {
+                let before = earlier.counters.iter().find(|(n, _)| *n == name);
+                (name, v.saturating_sub(before.map_or(0, |&(_, b)| b)))
+            })
+            .collect();
+        let histograms = self
+            .histograms
+            .iter()
+            .map(|(name, h)| {
+                let mut delta = h.clone();
+                if let Some((_, b)) = earlier.histograms.iter().find(|(n, _)| n == name) {
+                    for (d, old) in delta.counts.iter_mut().zip(b.counts.iter()) {
+                        *d = d.saturating_sub(*old);
+                    }
+                    delta.sum = delta.sum.saturating_sub(b.sum);
+                    delta.count = delta.count.saturating_sub(b.count);
+                }
+                (*name, delta)
+            })
+            .collect();
+        MetricsSnapshot {
+            counters,
+            gauges: self.gauges.clone(),
+            histograms,
+        }
+    }
+
     /// Renders the snapshot as a JSON object:
     /// `{"counters": {..}, "gauges": {..}, "histograms": {name:
     /// {count, sum, mean, p50, p90, p99}}}`.
@@ -304,4 +339,40 @@ macro_rules! observe {
             ::std::sync::OnceLock::new();
         $crate::__observe(&__FLEXSP_METRIC, $name, $v as u64);
     }};
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn since_scopes_counters_and_histograms_to_the_later_run() {
+        let mut h1 = HistogramSnapshot::default();
+        h1.counts[2] = 3;
+        h1.sum = 9;
+        h1.count = 3;
+        let earlier = MetricsSnapshot {
+            counters: vec![("jobs", 1000)],
+            gauges: vec![("depth", 4)],
+            histograms: vec![("lat", h1.clone())],
+        };
+        let mut h2 = h1.clone();
+        h2.counts[2] = 5;
+        h2.counts[7] = 1;
+        h2.sum = 40;
+        h2.count = 6;
+        let later = MetricsSnapshot {
+            counters: vec![("fresh", 7), ("jobs", 2000)],
+            gauges: vec![("depth", 2)],
+            histograms: vec![("lat", h2)],
+        };
+        let d = later.since(&earlier);
+        assert_eq!(d.counters, vec![("fresh", 7), ("jobs", 1000)]);
+        assert_eq!(d.gauges, vec![("depth", 2)]);
+        let lat = &d.histograms[0].1;
+        assert_eq!(
+            (lat.counts[2], lat.counts[7], lat.sum, lat.count),
+            (2, 1, 31, 3)
+        );
+    }
 }
