@@ -6,7 +6,7 @@
 
 use flexsp_cost::CostModel;
 use flexsp_data::Sequence;
-use flexsp_milp::{Basis, BranchRule, LinExpr, MilpSolver, Problem, VarId, VarKind};
+use flexsp_milp::{Basis, LinExpr, MilpSolver, Problem, VarId, VarKind};
 use flexsp_sim::{GroupShape, NodeSlots};
 use flexsp_telemetry as tel;
 
@@ -93,7 +93,6 @@ pub(crate) fn plan_aggregated(
         let mut solver = MilpSolver::new()
             .node_limit(config.milp_node_limit)
             .barren_node_limit(config.milp_barren_nodes)
-            .branching(BranchRule::FirstFractional)
             .relative_gap(0.02)
             .lp_engine(config.lp_engine)
             .threads(config.milp_threads);

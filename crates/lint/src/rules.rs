@@ -4,7 +4,7 @@
 //! |------|-------|------------------|
 //! | `lock-order` | `flexsp-arbiter` src | queue → shards (ascending) → fairness stripe → publish slot, with call summaries |
 //! | `lock-free` | fns marked `// lint: lock-free` | no `.lock()`/`.write()`, even transitively through crate-local calls |
-//! | `clock-containment` | all src outside the allowlist | no `Instant`/`SystemTime` (determinism: time lives behind `Clock`); no MILP `.time_limit(` in `crates/core` or `crates/trace` |
+//! | `clock-containment` | all src outside the allowlist | no `Instant`/`SystemTime` (determinism: time lives behind `Clock`) |
 //! | `telemetry-hygiene` | everywhere outside `crates/telemetry` | no `cfg(feature = "telemetry")` |
 //! | `unwrap-ban` | arbiter/milp/core non-test src | no `.unwrap()`/`.expect()` without an annotated reason |
 //!
@@ -621,49 +621,24 @@ fn rule_telemetry_hygiene(files: &[ScannedFile], out: &mut Vec<Violation>) {
 }
 
 /// Files where wall-clock types are legal: the `Clock` abstraction itself,
-/// the telemetry/bench measurement layers, and B&B's deadline site.
+/// and the telemetry/bench measurement layers.
 fn clock_allowlisted(rel: &str) -> bool {
     rel == "crates/arbiter/src/clock.rs"
-        || rel == "crates/milp/src/branch_bound.rs"
         || rel.starts_with("crates/telemetry/")
         || rel.starts_with("crates/bench/")
 }
 
-/// Trees that bound branch and bound in nodes only: their sources may not
-/// give a MILP a wall-clock budget, so B&B's deadline is reachable only
-/// through the milp crate's own API, by direct callers.
-const NODE_BUDGETED: [&str; 2] = ["crates/core/", "crates/trace/"];
-
-/// Rule 3: `Instant`/`SystemTime` only in the allowlist, and no
-/// `.time_limit(` call in the [`NODE_BUDGETED`] trees.
+/// Rule 3: `Instant`/`SystemTime` only in the allowlist.
 fn rule_clock_containment(files: &[ScannedFile], allows: &[Allows], out: &mut Vec<Violation>) {
     for (fi, f) in files.iter().enumerate() {
-        if f.kind != FileKind::Src {
+        if f.kind != FileKind::Src || clock_allowlisted(&f.rel) {
             continue;
         }
-        let wall_types_banned = !clock_allowlisted(&f.rel);
-        let deadlines_banned = NODE_BUDGETED.iter().any(|p| f.rel.starts_with(p));
         let mut seen_lines = HashSet::new();
-        for (ti, t) in f.tokens.iter().enumerate() {
-            let msg = if wall_types_banned && (t.text == "Instant" || t.text == "SystemTime") {
-                format!(
-                    "`{}` outside the clock allowlist — route time through the `Clock` \
-                     trait, or annotate `// lint: allow(clock) <reason>`",
-                    t.text
-                )
-            } else if deadlines_banned
-                && t.text == "time_limit"
-                && ti > 0
-                && f.tokens[ti - 1].text == "."
-                && f.tokens.get(ti + 1).is_some_and(|n| n.text == "(")
-            {
-                "`.time_limit(` gives a MILP a wall-clock budget — planner and replay \
-                 solves are bounded in nodes (`node_limit`, `barren_node_limit`) so plans \
-                 do not depend on machine load"
-                    .to_string()
-            } else {
+        for t in &f.tokens {
+            if t.text != "Instant" && t.text != "SystemTime" {
                 continue;
-            };
+            }
             if f.is_test_line(t.line)
                 || allows[fi].permits(t.line, AllowKind::Clock)
                 || !seen_lines.insert(t.line)
@@ -674,7 +649,11 @@ fn rule_clock_containment(files: &[ScannedFile], allows: &[Allows], out: &mut Ve
                 rel: f.rel.clone(),
                 line: t.line,
                 rule: "clock-containment",
-                msg,
+                msg: format!(
+                    "`{}` outside the clock allowlist — route time through the `Clock` \
+                     trait, or annotate `// lint: allow(clock) <reason>`",
+                    t.text
+                ),
             });
         }
     }

@@ -139,41 +139,6 @@ fn clock_containment_silent_inside_the_allowlist() {
 }
 
 #[test]
-fn milp_deadline_fires_in_planner_and_replay_crates() {
-    for (rel, crate_name) in [
-        ("crates/core/src/fixture_deadline.rs", "flexsp-core"),
-        ("crates/trace/src/fixture_deadline.rs", "flexsp-trace"),
-    ] {
-        let f = scan(
-            "deadline_bad.rs",
-            rel,
-            crate_name,
-            include_str!("fixtures/deadline_bad.rs"),
-        );
-        assert_findings(&[f], &[(rel, 8, "clock-containment")]);
-    }
-}
-
-#[test]
-fn milp_deadline_silent_on_node_budgets_and_outside_the_planner() {
-    let ok = scan(
-        "deadline_ok.rs",
-        "crates/core/src/fixture_deadline.rs",
-        "flexsp-core",
-        include_str!("fixtures/deadline_ok.rs"),
-    );
-    assert_findings(&[ok], &[]);
-    // The milp crate's own callers may still set a wall-clock budget.
-    let direct = scan(
-        "deadline_bad.rs",
-        "crates/milp/src/fixture_deadline.rs",
-        "flexsp-milp",
-        include_str!("fixtures/deadline_bad.rs"),
-    );
-    assert_findings(&[direct], &[]);
-}
-
-#[test]
 fn telemetry_hygiene_fires_on_inline_gates() {
     let f = scan(
         "telemetry_bad.rs",

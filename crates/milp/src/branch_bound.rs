@@ -4,7 +4,8 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrd};
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+// lint: allow(clock) times a solve for MilpSolution::solve_time_secs; no limit reads it
+use std::time::Instant;
 
 use flexsp_telemetry as tel;
 
@@ -96,9 +97,6 @@ pub enum StopReason {
     BarrenBudget,
     /// The node budget ran out.
     NodeLimit,
-    /// The wall-clock budget ran out — the only stop that depends on
-    /// machine speed.
-    WallClock,
     /// The root relaxation is infeasible.
     InfeasibleRoot,
     /// The root relaxation is unbounded.
@@ -108,7 +106,7 @@ pub enum StopReason {
 /// Per-[`StopReason`] solve counts, indexed by variant; sums across
 /// solves with [`SolveStats::absorb`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StopCounts([u64; 7]);
+pub struct StopCounts([u64; 6]);
 
 impl StopCounts {
     /// Solves that stopped for `reason`.
@@ -132,46 +130,19 @@ impl StopCounts {
     }
 }
 
-/// Which fractional integer variable a node branches on.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum BranchRule {
-    /// The variable whose fractional part is closest to ½ (default).
-    #[default]
-    MostFractional,
-    /// The first fractional variable in declaration order: a model that
-    /// declares its structural integers first (e.g. group counts before
-    /// assignments) has B&B settle those before anything else.
-    FirstFractional,
-}
-
-impl BranchRule {
-    /// The variable to branch on and its value, or `None` when every
-    /// integer variable is integral.
-    fn pick(self, values: &[f64], int_vars: &[usize]) -> Option<(usize, f64)> {
-        match self {
-            BranchRule::MostFractional => most_fractional(values, int_vars),
-            BranchRule::FirstFractional => int_vars.iter().find_map(|&j| {
-                let frac = values[j] - values[j].floor();
-                (frac > INT_TOL && frac < 1.0 - INT_TOL).then_some((j, values[j]))
-            }),
-        }
-    }
-}
-
 /// Configurable branch-and-bound MILP solver.
 ///
 /// The solver is a *good-incumbent-fast* design matching how the FlexSP
 /// paper uses SCIP: it accepts a warm-start incumbent, hunts for feasible
 /// solutions with a fix-and-complete rounding heuristic, and stops at a
-/// node, barren-node, relative-gap, or (opt-in) wall-clock limit,
-/// reporting [`MilpStatus::Feasible`] when optimality was not proven.
-/// Without a wall-clock limit every stop is counted in nodes, so a serial
-/// solve is the same search on any machine under any load.
+/// node, barren-node, or relative-gap limit, reporting
+/// [`MilpStatus::Feasible`] when optimality was not proven. Every limit
+/// is counted in nodes, never in wall-clock time, so a serial solve is
+/// the same search on any machine under any load.
 ///
 /// # Example
 ///
 /// ```
-/// use std::time::Duration;
 /// use flexsp_milp::{LinExpr, MilpSolver, Problem, VarKind};
 /// # fn main() -> Result<(), flexsp_milp::SolveError> {
 /// // 0/1 knapsack: max 10a + 13b + 7c, 5a + 7b + 4c <= 9.
@@ -181,19 +152,15 @@ impl BranchRule {
 /// let c = p.add_binary("c");
 /// p.add_le(LinExpr::from_terms([(a, 5.0), (b, 7.0), (c, 4.0)]), 9.0);
 /// p.set_objective(LinExpr::from_terms([(a, 10.0), (b, 13.0), (c, 7.0)]));
-/// let sol = MilpSolver::new()
-///     .time_limit(Duration::from_secs(5))
-///     .solve(&p)?;
+/// let sol = MilpSolver::new().node_limit(1_000).solve(&p)?;
 /// assert!((sol.objective() - 17.0).abs() < 1e-6); // a + c
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct MilpSolver {
-    time_limit: Option<Duration>,
     node_limit: u64,
     barren_node_limit: u64,
-    branch_rule: BranchRule,
     relative_gap: f64,
     warm_start: Option<Vec<f64>>,
     rounding_heuristic: bool,
@@ -210,16 +177,13 @@ impl Default for MilpSolver {
 }
 
 impl MilpSolver {
-    /// Creates a solver with defaults: no wall-clock limit, 200 000
-    /// nodes, no barren-node limit, 10⁻⁶ relative gap, most-fractional
-    /// branching, rounding heuristic enabled, sparse LP engine with
-    /// parent-basis reuse.
+    /// Creates a solver with defaults: 200 000 nodes, no barren-node
+    /// limit, 10⁻⁶ relative gap, rounding heuristic enabled, sparse LP
+    /// engine with parent-basis reuse.
     pub fn new() -> Self {
         Self {
-            time_limit: None,
             node_limit: 200_000,
             barren_node_limit: u64::MAX,
-            branch_rule: BranchRule::MostFractional,
             relative_gap: 1e-6,
             warm_start: None,
             rounding_heuristic: true,
@@ -230,35 +194,21 @@ impl MilpSolver {
         }
     }
 
-    /// Sets a wall-clock budget (none by default). When exhausted, the
-    /// best incumbent is returned with [`MilpStatus::Feasible`] and the
-    /// stop is recorded as [`StopReason::WallClock`]. Where the search
-    /// stops then depends on machine speed and load, so callers that
-    /// must be deterministic bound the search in nodes instead.
-    pub fn time_limit(mut self, limit: Duration) -> Self {
-        self.time_limit = Some(limit);
-        self
-    }
-
-    /// Sets the node budget.
+    /// Sets the node budget. When exhausted, the best incumbent is
+    /// returned with [`MilpStatus::Feasible`].
     pub fn node_limit(mut self, limit: u64) -> Self {
         self.node_limit = limit;
         self
     }
 
     /// Gives up once `limit` nodes have been expanded without finding an
-    /// incumbent (none by default): the solve reports
-    /// [`MilpStatus::Infeasible`] with [`StopReason::BarrenBudget`]. Suits
-    /// feasibility probes that treat "no answer yet" as "no".
+    /// incumbent (none by default): the solve stops with
+    /// [`StopReason::BarrenBudget`] and reports [`MilpStatus::Infeasible`]
+    /// — or [`MilpStatus::Feasible`] if a parallel worker still expanding
+    /// a node found one after the budget ran out. Suits feasibility probes
+    /// that treat "no answer yet" as "no".
     pub fn barren_node_limit(mut self, limit: u64) -> Self {
         self.barren_node_limit = limit;
-        self
-    }
-
-    /// Selects the branching variable rule (default
-    /// [`BranchRule::MostFractional`]).
-    pub fn branching(mut self, rule: BranchRule) -> Self {
-        self.branch_rule = rule;
         self
     }
 
@@ -303,7 +253,7 @@ impl MilpSolver {
     /// search unchanged. With `n > 1`, `n` workers drain one shared open
     /// node heap, share one atomic incumbent, and re-solve children warm
     /// from their parents' bases exactly as the serial search does; the
-    /// node budgets and any wall-clock deadline are shared across workers.
+    /// node budgets are shared across workers.
     /// Any thread count returns the same objective (the search only
     /// terminates when the global bound — over open *and* in-flight
     /// nodes — proves the incumbent optimal within the configured gap),
@@ -330,9 +280,17 @@ impl MilpSolver {
     /// Propagates [`SolveError`] from the underlying simplex (iteration
     /// limits / numerical breakdown).
     pub fn solve(&self, problem: &Problem) -> Result<MilpSolution, SolveError> {
+        // lint: allow(clock) measured for solve_time_secs, never a stop condition
         let start = Instant::now();
         let _solve_span =
             tel::span!(tel::Category::Solver, "milp.solve", "vars" => problem.num_vars() as u64);
+        let mut sol = self.search(problem)?;
+        sol.solve_time_secs = start.elapsed().as_secs_f64();
+        Ok(sol)
+    }
+
+    /// The branch-and-bound search behind [`MilpSolver::solve`].
+    fn search(&self, problem: &Problem) -> Result<MilpSolution, SolveError> {
         let mut stats = SolveStats::default();
         let sense_sign = match problem.sense() {
             ObjectiveSense::Minimize => 1.0,
@@ -380,7 +338,6 @@ impl MilpSolver {
                     sense_sign,
                     StopReason::InfeasibleRoot,
                     stats,
-                    start,
                     None,
                 ));
             }
@@ -395,7 +352,6 @@ impl MilpSolver {
                     sense_sign,
                     StopReason::UnboundedRoot,
                     stats,
-                    start,
                     None,
                 ));
             }
@@ -416,7 +372,7 @@ impl MilpSolver {
 
         if self.threads > 1 {
             return self.solve_parallel(
-                problem, &int_vars, sense_sign, incumbent, heap, stats, start, root_basis,
+                problem, &int_vars, sense_sign, incumbent, heap, stats, root_basis,
             );
         }
         let mut next_seq: u64 = 1;
@@ -437,13 +393,13 @@ impl MilpSolver {
                 };
                 if let Some(stop) = stop {
                     return Ok(self.finish(
-                        problem, incumbent, bound, sense_sign, stop, stats, start, root_basis,
+                        problem, incumbent, bound, sense_sign, stop, stats, root_basis,
                     ));
                 }
             }
-            if let Some(stop) = self.budget_stop(stats.nodes, incumbent.is_some(), start) {
+            if let Some(stop) = self.budget_stop(stats.nodes, incumbent.is_some()) {
                 return Ok(self.finish(
-                    problem, incumbent, bound, sense_sign, stop, stats, start, root_basis,
+                    problem, incumbent, bound, sense_sign, stop, stats, root_basis,
                 ));
             }
 
@@ -481,7 +437,7 @@ impl MilpSolver {
                 }
             }
 
-            match self.branch_rule.pick(&lp.values, &int_vars) {
+            match first_fractional(&lp.values, &int_vars) {
                 None => {
                     // Integral: new incumbent.
                     let mut vals = lp.values.clone();
@@ -556,7 +512,6 @@ impl MilpSolver {
             sense_sign,
             StopReason::Drained,
             stats,
-            start,
             root_basis,
         ))
     }
@@ -565,8 +520,8 @@ impl MilpSolver {
     /// [`MilpSolver::solve`] (root already expanded). `threads` workers
     /// drain the lock-protected heap under a condvar, share one atomic
     /// incumbent, re-solve children warm from their parents' bases, and
-    /// respect the shared node budgets and any wall-clock deadline. The
-    /// search terminates only when (a) the heap drains with every worker idle,
+    /// respect the shared node budgets. The search terminates only when
+    /// (a) the heap drains with every worker idle,
     /// (b) the global bound over open *and* in-flight nodes closes the
     /// gap, or (c) a shared limit trips — so any thread count returns the
     /// same objective as the serial search.
@@ -579,7 +534,6 @@ impl MilpSolver {
         incumbent: Option<(Vec<f64>, f64)>,
         heap: BinaryHeap<OpenNode>,
         mut stats: SolveStats,
-        start: Instant,
         root_basis: Option<Basis>,
     ) -> Result<MilpSolution, SolveError> {
         let n = self.threads;
@@ -588,7 +542,6 @@ impl MilpSolver {
             problem,
             int_vars,
             sense_sign,
-            start,
             state: Mutex::new(SearchState {
                 heap,
                 next_seq: 1,
@@ -630,7 +583,7 @@ impl MilpSolver {
             _ => state.final_bound,
         };
         Ok(self.finish(
-            problem, incumbent, bound, sense_sign, stop, stats, start, root_basis,
+            problem, incumbent, bound, sense_sign, stop, stats, root_basis,
         ))
     }
 
@@ -682,16 +635,12 @@ impl MilpSolver {
     }
 
     /// The budget that stops the search before it expands node number
-    /// `nodes + 1`, if one has run out. The node-counted budgets are
-    /// checked first, so a stop the node counts explain is never
-    /// reported as [`StopReason::WallClock`].
-    fn budget_stop(&self, nodes: u64, has_incumbent: bool, start: Instant) -> Option<StopReason> {
+    /// `nodes + 1`, if one has run out.
+    fn budget_stop(&self, nodes: u64, has_incumbent: bool) -> Option<StopReason> {
         if !has_incumbent && nodes >= self.barren_node_limit {
             Some(StopReason::BarrenBudget)
         } else if nodes >= self.node_limit {
             Some(StopReason::NodeLimit)
-        } else if self.time_limit.is_some_and(|limit| start.elapsed() > limit) {
-            Some(StopReason::WallClock)
         } else {
             None
         }
@@ -710,7 +659,6 @@ impl MilpSolver {
         sense_sign: f64,
         stop: StopReason,
         mut stats: SolveStats,
-        start: Instant,
         root_basis: Option<Basis>,
     ) -> MilpSolution {
         let (values, objective) = match &incumbent {
@@ -720,7 +668,9 @@ impl MilpSolver {
         let found = incumbent.is_some();
         let status = match stop {
             StopReason::GapClosed | StopReason::Drained if found => MilpStatus::Optimal,
-            StopReason::NodeLimit | StopReason::WallClock if found => MilpStatus::Feasible,
+            // A parallel worker may install an incumbent after another
+            // worker tripped the barren budget; the solution is real.
+            StopReason::NodeLimit | StopReason::BarrenBudget if found => MilpStatus::Feasible,
             StopReason::UnboundedRoot => MilpStatus::Unbounded,
             _ => MilpStatus::Infeasible,
         };
@@ -730,7 +680,6 @@ impl MilpSolver {
             StopReason::Drained => tel::count!("flexsp.milp.stop_drained"),
             StopReason::BarrenBudget => tel::count!("flexsp.milp.stop_barren_budget"),
             StopReason::NodeLimit => tel::count!("flexsp.milp.stop_node_limit"),
-            StopReason::WallClock => tel::count!("flexsp.milp.stop_wall_clock"),
             StopReason::InfeasibleRoot => tel::count!("flexsp.milp.stop_infeasible_root"),
             StopReason::UnboundedRoot => tel::count!("flexsp.milp.stop_unbounded_root"),
         }
@@ -743,24 +692,24 @@ impl MilpSolver {
             objective,
             best_bound: sense_sign * bound_score,
             nodes: stats.nodes,
-            solve_time_secs: start.elapsed().as_secs_f64(),
+            // Set by `solve`, which times the whole search.
+            solve_time_secs: 0.0,
             stats,
             root_basis,
         }
     }
 }
 
-fn most_fractional(values: &[f64], int_vars: &[usize]) -> Option<(usize, f64)> {
-    let mut best: Option<(usize, f64, f64)> = None; // (var, value, dist to 0.5)
-    for &j in int_vars {
-        let v = values[j];
-        let frac = v - v.floor();
-        let dist = (frac - 0.5).abs();
-        if frac > INT_TOL && frac < 1.0 - INT_TOL && best.is_none_or(|(_, _, d)| dist < d) {
-            best = Some((j, v, dist));
-        }
-    }
-    best.map(|(j, v, _)| (j, v))
+/// The branching variable: the first fractional integer variable in
+/// declaration order, with its value, or `None` when every integer
+/// variable is integral. A model that declares its structural integers
+/// first (the planner's group counts before its assignments) has B&B
+/// settle those before anything else.
+fn first_fractional(values: &[f64], int_vars: &[usize]) -> Option<(usize, f64)> {
+    int_vars.iter().find_map(|&j| {
+        let frac = values[j] - values[j].floor();
+        (frac > INT_TOL && frac < 1.0 - INT_TOL).then_some((j, values[j]))
+    })
 }
 
 struct OpenNode {
@@ -853,7 +802,6 @@ struct SharedSearch<'a> {
     problem: &'a Problem,
     int_vars: &'a [usize],
     sense_sign: f64,
-    start: Instant,
     state: Mutex<SearchState>,
     /// Signaled when children are pushed or the search stops.
     work: Condvar,
@@ -943,10 +891,7 @@ impl SharedSearch<'_> {
                 };
                 continue;
             }
-            if let Some(stop) =
-                self.solver
-                    .budget_stop(st.claimed, st.incumbent.is_some(), self.start)
-            {
+            if let Some(stop) = self.solver.budget_stop(st.claimed, st.incumbent.is_some()) {
                 let bound = Self::global_bound(&st);
                 st.final_bound = match &st.incumbent {
                     Some((_, inc)) => bound.min(*inc),
@@ -1035,7 +980,7 @@ impl SharedSearch<'_> {
         if lp_score >= self.best_score() - 1e-9 {
             return Ok(Vec::new());
         }
-        match solver.branch_rule.pick(&lp.values, self.int_vars) {
+        match first_fractional(&lp.values, self.int_vars) {
             None => {
                 // Integral: candidate incumbent.
                 let mut vals = lp.values.clone();
@@ -1474,12 +1419,14 @@ mod tests {
             assert_eq!(barren.status(), MilpStatus::Infeasible);
             assert!(stopped(&barren, StopReason::BarrenBudget));
             assert_eq!(barren.nodes(), 8, "threads={threads}");
+            assert_status_matches_values(&barren);
         }
         // A zero budget stops before the first node, unless an incumbent
         // (here a warm start) is already in hand.
         let (k, best) = wide_knapsack();
         let cold = MilpSolver::new().barren_node_limit(0).solve(&k).unwrap();
         assert!(stopped(&cold, StopReason::BarrenBudget));
+        assert_status_matches_values(&cold);
         let warm = MilpSolver::new()
             .barren_node_limit(0)
             .warm_start(vec![0.0; 10])
@@ -1487,45 +1434,46 @@ mod tests {
             .unwrap();
         assert_eq!(warm.status(), MilpStatus::Optimal);
         approx(warm.objective(), best);
+        // With several workers, one may still be expanding a node that
+        // yields an incumbent after another tripped the budget. That
+        // solution is real, so the status must say so.
+        let late = MilpSolver::new().finish(
+            &k,
+            Some((vec![0.0; 10], 0.0)),
+            f64::NEG_INFINITY,
+            -1.0,
+            StopReason::BarrenBudget,
+            SolveStats::default(),
+            None,
+        );
+        assert_eq!(late.status(), MilpStatus::Feasible);
+        assert!(stopped(&late, StopReason::BarrenBudget));
+        assert_status_matches_values(&late);
+    }
+
+    /// A solve reports a solution exactly when it returns values.
+    fn assert_status_matches_values(sol: &MilpSolution) {
+        assert_eq!(
+            sol.status().has_solution(),
+            !sol.values().is_empty(),
+            "{:?} with {} values",
+            sol.status(),
+            sol.values().len()
+        );
     }
 
     #[test]
-    fn first_fractional_branching_reaches_the_same_optimum() {
-        let (p, best) = wide_knapsack();
-        for threads in [1, 4] {
-            let sol = MilpSolver::new()
-                .branching(BranchRule::FirstFractional)
-                .threads(threads)
-                .solve(&p)
-                .unwrap();
-            assert_eq!(sol.status(), MilpStatus::Optimal);
-            approx(sol.objective(), best);
-        }
-        // It picks the lowest-index fractional variable; the default rule
-        // picks the one nearest ½.
+    fn branches_on_the_first_fractional_variable() {
         let values = [0.0, 0.9, 2.0, 0.5];
-        let ints = [0, 1, 2, 3];
-        assert_eq!(
-            BranchRule::FirstFractional.pick(&values, &ints),
-            Some((1, 0.9))
-        );
-        assert_eq!(
-            BranchRule::MostFractional.pick(&values, &ints),
-            Some((3, 0.5))
-        );
-        assert_eq!(BranchRule::FirstFractional.pick(&[1.0, 2.0], &[0, 1]), None);
+        assert_eq!(first_fractional(&values, &[0, 1, 2, 3]), Some((1, 0.9)));
+        assert_eq!(first_fractional(&values, &[2, 3]), Some((3, 0.5)));
+        assert_eq!(first_fractional(&[1.0, 2.0], &[0, 1]), None);
     }
 
     #[test]
     fn node_budgeted_serial_search_is_repeatable() {
         let p = parity_trap();
-        let run = || {
-            MilpSolver::new()
-                .node_limit(40)
-                .branching(BranchRule::FirstFractional)
-                .solve(&p)
-                .unwrap()
-        };
+        let run = || MilpSolver::new().node_limit(40).solve(&p).unwrap();
         let (a, b) = (run(), run());
         assert_eq!(a.stats(), b.stats());
         assert!(stopped(&a, StopReason::NodeLimit));

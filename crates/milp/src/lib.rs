@@ -8,8 +8,8 @@
 //! (MILP) and solves it with SCIP. This crate is a from-scratch replacement
 //! for that dependency: a dense, bounded-variable, two-phase primal simplex
 //! for linear relaxations ([`solve_lp`]) and a best-first branch-and-bound
-//! search with warm starts, a rounding heuristic, and node/gap limits plus
-//! an opt-in wall-clock limit ([`MilpSolver`]).
+//! search with warm starts, a rounding heuristic, and node/gap limits
+//! ([`MilpSolver`]).
 //!
 //! The solver is deliberately engineered for the planner's regime —
 //! problems with a few hundred rows and a few hundred to a couple of
@@ -87,7 +87,7 @@ mod solution;
 mod sparse;
 
 pub use basis::Basis;
-pub use branch_bound::{BranchRule, MilpSolver, SolveStats, StopCounts, StopReason};
+pub use branch_bound::{MilpSolver, SolveStats, StopCounts, StopReason};
 pub use error::SolveError;
 pub use expr::{LinExpr, VarId};
 pub use problem::{Cmp, Constraint, ObjectiveSense, Problem, VarKind};

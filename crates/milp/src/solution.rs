@@ -9,8 +9,8 @@ use crate::expr::VarId;
 pub enum MilpStatus {
     /// The incumbent is optimal within the configured gap tolerance.
     Optimal,
-    /// A feasible incumbent was found, but the search hit a node or
-    /// wall-clock limit before proving (near-)optimality.
+    /// A feasible incumbent was found, but the search hit a node limit
+    /// before proving (near-)optimality.
     Feasible,
     /// The problem has no feasible point.
     Infeasible,
