@@ -511,7 +511,7 @@ pub(crate) fn plan_per_group(
     p.set_objective(LinExpr::term(c_var, 1.0));
 
     // Warm start from the heuristic plan.
-    let warm_values = warm_start_values(cost, buckets, &slots, warm, 1 + np, q, np);
+    let warm_values = warm_start_values(cost, buckets, &slots, warm, q, np);
 
     let mut solver = MilpSolver::new()
         .node_limit(config.milp_node_limit)
@@ -571,11 +571,9 @@ fn warm_start_values(
     buckets: &[Bucket],
     slots: &[GroupShape],
     warm: &MicroBatchPlan,
-    total_vars: usize,
     q: usize,
     np: usize,
 ) -> Option<Vec<f64>> {
-    let _ = total_vars;
     let mut values = vec![0.0; 1 + np + q * np];
     values[0] = warm.predicted_time(cost);
     // Slot indices per shape, in declaration order. The warm plan carries

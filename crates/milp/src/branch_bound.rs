@@ -12,8 +12,9 @@ use flexsp_telemetry as tel;
 use crate::basis::Basis;
 use crate::error::SolveError;
 use crate::problem::{ObjectiveSense, Problem, VarKind};
-use crate::simplex::{solve_lp_opts, LpEngine, LpOptions, LpOutcome, LpStats};
+use crate::simplex::{solve_lp_with, LpEngine, LpOptions, LpOutcome, LpStats};
 use crate::solution::{MilpSolution, MilpStatus};
+use crate::sparse::{BuildOutcome, SparseModel};
 use crate::{FEAS_TOL, INT_TOL};
 
 /// Counters describing a branch-and-bound run.
@@ -23,6 +24,9 @@ pub struct SolveStats {
     pub nodes: u64,
     /// Linear relaxations solved (including heuristic completions).
     pub lp_solves: u64,
+    /// Sparse constraint matrices built: one per sparse-engine solve,
+    /// shared by all of its relaxations; zero for the dense engine.
+    pub matrix_builds: u64,
     /// Incumbents discovered by the fix-and-complete rounding heuristic.
     pub heuristic_incumbents: u64,
     /// Primal simplex pivots across all relaxations.
@@ -61,6 +65,7 @@ impl SolveStats {
     pub fn absorb(&mut self, other: &SolveStats) {
         self.nodes += other.nodes;
         self.lp_solves += other.lp_solves;
+        self.matrix_builds += other.matrix_builds;
         self.heuristic_incumbents += other.heuristic_incumbents;
         self.primal_pivots += other.primal_pivots;
         self.dual_pivots += other.dual_pivots;
@@ -316,11 +321,36 @@ impl MilpSolver {
             }
         }
 
+        // Every relaxation of this solve differs only in variable bounds,
+        // so they all share one constraint matrix.
+        let model = match self.lp_engine {
+            LpEngine::DenseTableau => None,
+            LpEngine::SparseRevised => {
+                stats.matrix_builds += 1;
+                match SparseModel::build(problem) {
+                    BuildOutcome::Model(m) => Some(m),
+                    BuildOutcome::TriviallyInfeasible => {
+                        return Ok(self.finish(
+                            problem,
+                            incumbent,
+                            f64::NEG_INFINITY,
+                            sense_sign,
+                            StopReason::InfeasibleRoot,
+                            stats,
+                            None,
+                        ));
+                    }
+                }
+            }
+        };
+        let model = model.as_ref();
+
         stats.lp_solves += 1;
         let (root_outcome, root_lp_stats) = {
             let _root_span = tel::span!(tel::Category::Solver, "milp.root_lp");
-            solve_lp_opts(
+            solve_lp_with(
                 problem,
+                model,
                 &LpOptions {
                     bound_overrides: Some(&root_bounds),
                     warm_basis: self.root_basis.as_ref(),
@@ -372,7 +402,7 @@ impl MilpSolver {
 
         if self.threads > 1 {
             return self.solve_parallel(
-                problem, &int_vars, sense_sign, incumbent, heap, stats, root_basis,
+                problem, model, &int_vars, sense_sign, incumbent, heap, stats, root_basis,
             );
         }
         let mut next_seq: u64 = 1;
@@ -410,8 +440,9 @@ impl MilpSolver {
             } else {
                 None
             };
-            let (node_outcome, node_lp_stats) = solve_lp_opts(
+            let (node_outcome, node_lp_stats) = solve_lp_with(
                 problem,
+                model,
                 &LpOptions {
                     bound_overrides: Some(&node.bounds),
                     warm_basis: warm,
@@ -454,6 +485,7 @@ impl MilpSolver {
                     if self.rounding_heuristic {
                         if let Some((vals, score)) = self.fix_and_complete(
                             problem,
+                            model,
                             &node.bounds,
                             &lp.values,
                             child_basis.as_ref(),
@@ -529,6 +561,7 @@ impl MilpSolver {
     fn solve_parallel(
         &self,
         problem: &Problem,
+        model: Option<&SparseModel>,
         int_vars: &[usize],
         sense_sign: f64,
         incumbent: Option<(Vec<f64>, f64)>,
@@ -540,6 +573,7 @@ impl MilpSolver {
         let shared = SharedSearch {
             solver: self,
             problem,
+            model,
             int_vars,
             sense_sign,
             state: Mutex::new(SearchState {
@@ -593,6 +627,7 @@ impl MilpSolver {
     fn fix_and_complete(
         &self,
         problem: &Problem,
+        model: Option<&SparseModel>,
         bounds: &[(f64, f64)],
         lp_values: &[f64],
         node_basis: Option<&Basis>,
@@ -608,8 +643,9 @@ impl MilpSolver {
         }
         stats.lp_solves += 1;
         let warm = if self.reuse_bases { node_basis } else { None };
-        let (outcome, lp_stats) = solve_lp_opts(
+        let (outcome, lp_stats) = solve_lp_with(
             problem,
+            model,
             &LpOptions {
                 bound_overrides: Some(&fixed),
                 warm_basis: warm,
@@ -686,6 +722,7 @@ impl MilpSolver {
         tel::count!("flexsp.milp.solves");
         tel::count!("flexsp.milp.nodes", stats.nodes);
         tel::count!("flexsp.milp.lp_solves", stats.lp_solves);
+        tel::count!("flexsp.milp.matrix_builds", stats.matrix_builds);
         MilpSolution {
             status,
             values,
@@ -800,6 +837,8 @@ struct SearchState {
 struct SharedSearch<'a> {
     solver: &'a MilpSolver,
     problem: &'a Problem,
+    /// The solve's constraint matrix (`None` for the dense engine).
+    model: Option<&'a SparseModel>,
     int_vars: &'a [usize],
     sense_sign: f64,
     state: Mutex<SearchState>,
@@ -960,8 +999,9 @@ impl SharedSearch<'_> {
         } else {
             None
         };
-        let (outcome, lp_stats) = solve_lp_opts(
+        let (outcome, lp_stats) = solve_lp_with(
             self.problem,
+            self.model,
             &LpOptions {
                 bound_overrides: Some(&node.bounds),
                 warm_basis: warm,
@@ -995,6 +1035,7 @@ impl SharedSearch<'_> {
                 if solver.rounding_heuristic {
                     if let Some((vals, score)) = solver.fix_and_complete(
                         self.problem,
+                        self.model,
                         &node.bounds,
                         &lp.values,
                         child_basis.as_ref(),
@@ -1388,6 +1429,40 @@ mod tests {
         sum.absorb(&capped.stats());
         assert_eq!(sum.stops.total(), 2);
         assert_eq!(sum.stops.get(StopReason::NodeLimit), 1);
+    }
+
+    #[test]
+    fn one_matrix_build_serves_every_relaxation() {
+        let (p, _) = wide_knapsack();
+        let mut sum = SolveStats::default();
+        for threads in [1, 4] {
+            let s = MilpSolver::new()
+                .threads(threads)
+                .solve(&p)
+                .unwrap()
+                .stats();
+            assert!(s.nodes > 1 && s.lp_solves > 1, "threads={threads}: {s:?}");
+            assert_eq!(s.matrix_builds, 1, "threads={threads}");
+            sum.absorb(&s);
+        }
+        assert_eq!(sum.matrix_builds, 2);
+        let dense = MilpSolver::new()
+            .lp_engine(LpEngine::DenseTableau)
+            .solve(&p)
+            .unwrap()
+            .stats();
+        assert!(dense.lp_solves > 1, "{dense:?}");
+        assert_eq!(dense.matrix_builds, 0);
+
+        // A violated variable-free row is caught by the build itself.
+        let mut trivial = Problem::minimize();
+        let x = trivial.add_binary("x");
+        trivial.add_ge(LinExpr::new(), 1.0);
+        trivial.set_objective(LinExpr::term(x, 1.0));
+        let sol = MilpSolver::new().solve(&trivial).unwrap();
+        assert_eq!(sol.status(), MilpStatus::Infeasible);
+        assert!(stopped(&sol, StopReason::InfeasibleRoot));
+        assert_eq!((sol.stats().matrix_builds, sol.stats().lp_solves), (1, 0));
     }
 
     /// Integer-infeasible, but only branching can tell: `2(x1 + … + x6)

@@ -6,10 +6,10 @@
 //! The FlexSP paper (ASPLOS 2025) formulates heterogeneous sequence-parallel
 //! group selection and sequence assignment as a mixed-integer linear program
 //! (MILP) and solves it with SCIP. This crate is a from-scratch replacement
-//! for that dependency: a dense, bounded-variable, two-phase primal simplex
-//! for linear relaxations ([`solve_lp`]) and a best-first branch-and-bound
-//! search with warm starts, a rounding heuristic, and node/gap limits
-//! ([`MilpSolver`]).
+//! for that dependency: a sparse, bounded-variable revised simplex with an
+//! LU-factored basis and a dual simplex for warm re-solves ([`solve_lp`],
+//! [`solve_lp_opts`]), and a best-first branch-and-bound search with warm
+//! starts, a rounding heuristic, and node/gap limits ([`MilpSolver`]).
 //!
 //! The solver is deliberately engineered for the planner's regime —
 //! problems with a few hundred rows and a few hundred to a couple of
@@ -36,6 +36,10 @@
 //!   bounded *dual simplex* repairs primal feasibility in a handful of
 //!   pivots instead of a cold two-phase solve. Branch and bound re-solves
 //!   every child node from its parent's basis the same way.
+//! * **One matrix per solve** — the nodes of a branch-and-bound search
+//!   differ only in variable bounds, so [`MilpSolver::solve`] builds the
+//!   sparse constraint matrix once and every relaxation of that solve
+//!   reuses it ([`SolveStats::matrix_builds`]).
 //! * **Engines** — [`LpEngine::SparseRevised`] (default) runs a revised
 //!   simplex over sparse columns with an LU-factored basis and eta
 //!   updates; [`LpEngine::DenseTableau`] keeps the original dense tableau

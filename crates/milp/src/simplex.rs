@@ -12,7 +12,9 @@
 //!   ([`crate::dense`]), kept as an always-available A/B reference.
 //!
 //! [`solve_lp`] keeps the original cold-start signature; [`solve_lp_opts`]
-//! exposes warm starts and per-solve [`LpStats`].
+//! exposes warm starts and per-solve [`LpStats`]. Both build the sparse
+//! matrix per call; branch and bound builds it once per MILP solve and
+//! calls the crate-private `solve_lp_with` for each relaxation.
 
 use crate::basis::Basis;
 use crate::error::SolveError;
@@ -180,15 +182,31 @@ pub fn solve_lp_opts(
     problem: &Problem,
     opts: &LpOptions<'_>,
 ) -> Result<(LpOutcome, LpStats), SolveError> {
-    let nv = problem.num_vars();
-    if let Some(b) = opts.bound_overrides {
-        if b.len() != nv {
-            return Err(SolveError::BoundMismatch {
-                expected: nv,
-                got: b.len(),
-            });
-        }
-    }
+    let model = match opts.engine {
+        LpEngine::DenseTableau => None,
+        LpEngine::SparseRevised => match SparseModel::build(problem) {
+            BuildOutcome::Model(m) => Some(m),
+            BuildOutcome::TriviallyInfeasible => {
+                check_overrides(problem, opts)?;
+                return Ok((LpOutcome::Infeasible, LpStats::default()));
+            }
+        },
+    };
+    solve_lp_with(problem, model.as_ref(), opts)
+}
+
+/// [`solve_lp_opts`] over a prebuilt constraint matrix: `model` is the
+/// problem's [`SparseModel`] for the sparse engine and `None` for the
+/// dense tableau, which builds its own. Branch and bound builds the model
+/// once per MILP solve and passes it to every LP; only variable bounds
+/// change between them.
+pub(crate) fn solve_lp_with(
+    problem: &Problem,
+    model: Option<&SparseModel>,
+    opts: &LpOptions<'_>,
+) -> Result<(LpOutcome, LpStats), SolveError> {
+    debug_assert_eq!(model.is_none(), opts.engine == LpEngine::DenseTableau);
+    check_overrides(problem, opts)?;
     let bound = |j: usize| -> (f64, f64) {
         match opts.bound_overrides {
             Some(b) => b[j],
@@ -198,38 +216,42 @@ pub fn solve_lp_opts(
             }
         }
     };
-    for j in 0..nv {
+    for j in 0..problem.num_vars() {
         let (l, u) = bound(j);
         if l > u + FEAS_TOL {
             return Ok((LpOutcome::Infeasible, LpStats::default()));
         }
     }
 
-    if opts.engine == LpEngine::DenseTableau {
+    let Some(model) = model else {
         let outcome = crate::dense::solve_dense(problem, opts.bound_overrides)?;
         return Ok((outcome, LpStats::default()));
-    }
-
-    let model = match SparseModel::build(problem) {
-        BuildOutcome::Model(m) => m,
-        BuildOutcome::TriviallyInfeasible => {
-            return Ok((LpOutcome::Infeasible, LpStats::default()))
-        }
     };
 
     if let Some(warm) = opts.warm_basis {
-        match Engine::solve_warm(problem, &model, &bound, warm) {
+        match Engine::solve_warm(problem, model, &bound, warm) {
             Ok(result) => return Ok(result),
             Err(_) => {
                 // Fall through to a cold solve, remembering the miss.
-                let (outcome, mut stats) = Engine::solve_cold(problem, &model, &bound)?;
+                let (outcome, mut stats) = Engine::solve_cold(problem, model, &bound)?;
                 stats.warm_attempted = true;
                 stats.warm_used = false;
                 return Ok((outcome, stats));
             }
         }
     }
-    Engine::solve_cold(problem, &model, &bound)
+    Engine::solve_cold(problem, model, &bound)
+}
+
+/// Rejects bound overrides whose length does not match the problem.
+fn check_overrides(problem: &Problem, opts: &LpOptions<'_>) -> Result<(), SolveError> {
+    match opts.bound_overrides {
+        Some(b) if b.len() != problem.num_vars() => Err(SolveError::BoundMismatch {
+            expected: problem.num_vars(),
+            got: b.len(),
+        }),
+        _ => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -441,6 +463,135 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(warm, LpOutcome::Infeasible));
+    }
+
+    /// SplitMix64, seeding the random problems below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform integer in `lo..=hi`.
+        fn int(&mut self, lo: i64, hi: i64) -> i64 {
+            lo + (self.next() % (hi - lo + 1) as u64) as i64
+        }
+    }
+
+    /// A bounded LP with 2–8 variables and 1–6 mixed-sense rows.
+    fn random_problem(rng: &mut Rng) -> Problem {
+        let mut p = if rng.int(0, 1) == 0 {
+            Problem::minimize()
+        } else {
+            Problem::maximize()
+        };
+        let n = rng.int(2, 8) as usize;
+        let vars: Vec<_> = (0..n)
+            .map(|i| {
+                p.add_var(
+                    format!("x{i}"),
+                    VarKind::Continuous,
+                    0.0,
+                    rng.int(1, 6) as f64,
+                )
+            })
+            .collect();
+        for _ in 0..rng.int(1, 6) {
+            let mut e = LinExpr::new();
+            for &v in &vars {
+                if rng.int(0, 3) > 0 {
+                    e.add_term(v, rng.int(-4, 4) as f64);
+                }
+            }
+            let rhs = rng.int(-8, 16) as f64;
+            match rng.int(0, 2) {
+                0 => p.add_le(e, rhs),
+                1 => p.add_ge(e, rhs),
+                _ => p.add_eq(e, rhs),
+            };
+        }
+        p.set_objective(LinExpr::from_terms(
+            vars.iter()
+                .map(|&v| (v, rng.int(-5, 5) as f64))
+                .collect::<Vec<_>>(),
+        ));
+        p
+    }
+
+    /// Random sub-ranges of each variable's bounds, as branching makes
+    /// them; about one set in eight crosses a pair.
+    fn random_overrides(rng: &mut Rng, p: &Problem) -> Vec<(f64, f64)> {
+        let mut b: Vec<(f64, f64)> = p
+            .vars
+            .iter()
+            .map(|d| {
+                let lo = rng.int(0, d.upper as i64);
+                (lo as f64, rng.int(lo, d.upper as i64) as f64)
+            })
+            .collect();
+        if rng.int(0, 7) == 0 {
+            let j = rng.int(0, b.len() as i64 - 1) as usize;
+            b[j] = (b[j].1 + 1.0, b[j].1);
+        }
+        b
+    }
+
+    fn assert_bit_equal(a: &(LpOutcome, LpStats), b: &(LpOutcome, LpStats)) {
+        assert_eq!(a.1, b.1);
+        match (&a.0, &b.0) {
+            (LpOutcome::Optimal(x), LpOutcome::Optimal(y)) => {
+                assert_eq!(x.objective.to_bits(), y.objective.to_bits());
+                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&x.values), bits(&y.values));
+                assert_eq!(x.basis, y.basis);
+            }
+            (LpOutcome::Infeasible, LpOutcome::Infeasible)
+            | (LpOutcome::Unbounded, LpOutcome::Unbounded) => {}
+            other => panic!("outcomes differ: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn prebuilt_model_solves_bit_identically_to_a_per_lp_build() {
+        let mut rng = Rng(0x5eed_f1e5);
+        let (mut cold, mut warm_used) = (0, 0);
+        for _ in 0..500 {
+            let p = random_problem(&mut rng);
+            let BuildOutcome::Model(model) = SparseModel::build(&p) else {
+                continue;
+            };
+            let mut prior: Option<Basis> = None;
+            for _ in 0..6 {
+                let bounds = random_overrides(&mut rng, &p);
+                let mut next = None;
+                for warm_basis in std::iter::once(None).chain(prior.as_ref().map(Some)) {
+                    let opts = LpOptions {
+                        bound_overrides: Some(&bounds),
+                        warm_basis,
+                        engine: LpEngine::SparseRevised,
+                    };
+                    let per_lp = solve_lp_opts(&p, &opts).unwrap();
+                    let shared = solve_lp_with(&p, Some(&model), &opts).unwrap();
+                    assert_bit_equal(&per_lp, &shared);
+                    if warm_basis.is_none() {
+                        cold += 1;
+                        next = per_lp.0.optimal().and_then(|s| s.basis().cloned());
+                    } else if per_lp.1.warm_used {
+                        warm_used += 1;
+                    }
+                }
+                prior = next.or(prior);
+            }
+        }
+        assert!(
+            cold >= 2500 && warm_used >= 300,
+            "{cold} cold, {warm_used} warm"
+        );
     }
 
     #[test]

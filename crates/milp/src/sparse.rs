@@ -1,9 +1,9 @@
 //! Sparse column storage of the constraint matrix.
 //!
-//! The matrix is built once per solve directly from each constraint's
-//! [`LinExpr`](crate::LinExpr) terms — no dense per-constraint row is ever
-//! materialized — and stored in compressed-sparse-column (CSC) form over
-//! the *structural* variables. Slack and artificial columns are unit
+//! The matrix is built once per MILP solve (and once per standalone LP)
+//! directly from each constraint's [`LinExpr`](crate::LinExpr) terms — no
+//! dense per-constraint row is ever materialized — and stored in
+//! compressed-sparse-column (CSC) form over the *structural* variables. Slack and artificial columns are unit
 //! vectors and are synthesized on the fly by [`SparseModel::col`].
 
 use crate::problem::{Cmp, Problem};
