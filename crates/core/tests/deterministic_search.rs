@@ -103,21 +103,34 @@ fn plans_and_stats_are_identical_with_every_cpu_busy() {
 /// x86-64 host, varying with where the clock stopped each search.
 const WALL_CLOCK_BUDGET_BEST_S: f64 = 316.34;
 
+/// The node-budgeted search's own result on the same 30 batches, pinned
+/// so that a solver change that alters any plan fails here: the summed
+/// `predicted_s` (315.263904 s) as `f64` bits, and the summed B&B nodes.
+/// A change that alters plans on purpose updates both and says why.
+const PINNED_PREDICTED_S_BITS: u64 = 0x4073_b438_f3b4_a478;
+const PINNED_NODES: u64 = 13_314;
+
 #[test]
 fn fast_plans_are_no_worse_than_under_the_wall_clock_budget() {
     let solver = FlexSpSolver::new(train_step_cost(), SolverConfig::fast());
     let mut batches = train_step_batches(1);
+    let mut effort = PlanStats::default();
     let total: f64 = (0..30)
         .map(|_| {
             let batch = batches.next_batch();
-            solver
-                .solve_iteration(&batch)
-                .expect("plannable")
-                .predicted_s
+            let solved = solver.solve_iteration(&batch).expect("plannable");
+            effort.absorb(&solved.stats);
+            solved.predicted_s
         })
         .sum();
     assert!(
         total <= WALL_CLOCK_BUDGET_BEST_S,
         "summed predicted time {total} s exceeds {WALL_CLOCK_BUDGET_BEST_S} s"
     );
+    assert_eq!(
+        total.to_bits(),
+        PINNED_PREDICTED_S_BITS,
+        "summed predicted time {total} s moved off the pinned plans"
+    );
+    assert_eq!(effort.milp.nodes, PINNED_NODES, "{effort:?}");
 }

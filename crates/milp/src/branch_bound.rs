@@ -22,8 +22,14 @@ use crate::{FEAS_TOL, INT_TOL};
 pub struct SolveStats {
     /// Branch-and-bound nodes processed.
     pub nodes: u64,
-    /// Linear relaxations solved (including heuristic completions).
+    /// Linear relaxations solved: the root, one per node, and one per
+    /// heuristic completion of a model with continuous variables. An
+    /// all-integer model completes without an LP (see
+    /// [`SolveStats::point_checks`]).
     pub lp_solves: u64,
+    /// Heuristic completions settled without an LP: in an all-integer
+    /// model the rounded point is checked directly.
+    pub point_checks: u64,
     /// Sparse constraint matrices built: one per sparse-engine solve,
     /// shared by all of its relaxations; zero for the dense engine.
     pub matrix_builds: u64,
@@ -65,6 +71,7 @@ impl SolveStats {
     pub fn absorb(&mut self, other: &SolveStats) {
         self.nodes += other.nodes;
         self.lp_solves += other.lp_solves;
+        self.point_checks += other.point_checks;
         self.matrix_builds += other.matrix_builds;
         self.heuristic_incumbents += other.heuristic_incumbents;
         self.primal_pivots += other.primal_pivots;
@@ -168,9 +175,7 @@ pub struct MilpSolver {
     barren_node_limit: u64,
     relative_gap: f64,
     warm_start: Option<Vec<f64>>,
-    rounding_heuristic: bool,
     lp_engine: LpEngine,
-    reuse_bases: bool,
     root_basis: Option<Basis>,
     threads: usize,
 }
@@ -183,17 +188,15 @@ impl Default for MilpSolver {
 
 impl MilpSolver {
     /// Creates a solver with defaults: 200 000 nodes, no barren-node
-    /// limit, 10⁻⁶ relative gap, rounding heuristic enabled, sparse LP
-    /// engine with parent-basis reuse.
+    /// limit, 10⁻⁶ relative gap, sparse LP engine with parent-basis
+    /// reuse, one thread.
     pub fn new() -> Self {
         Self {
             node_limit: 200_000,
             barren_node_limit: u64::MAX,
             relative_gap: 1e-6,
             warm_start: None,
-            rounding_heuristic: true,
             lp_engine: LpEngine::default(),
-            reuse_bases: true,
             root_basis: None,
             threads: 1,
         }
@@ -231,24 +234,11 @@ impl MilpSolver {
         self
     }
 
-    /// Enables or disables the fix-and-complete rounding heuristic.
-    pub fn rounding_heuristic(mut self, enabled: bool) -> Self {
-        self.rounding_heuristic = enabled;
-        self
-    }
-
     /// Selects the LP engine for every relaxation. The dense tableau
     /// engine implies cold starts (basis reuse is a sparse-engine
     /// feature).
     pub fn lp_engine(mut self, engine: LpEngine) -> Self {
         self.lp_engine = engine;
-        self
-    }
-
-    /// Enables or disables dual-simplex re-solves of child nodes from the
-    /// parent's basis (on by default with the sparse engine).
-    pub fn reuse_bases(mut self, enabled: bool) -> Self {
-        self.reuse_bases = enabled;
         self
     }
 
@@ -305,6 +295,9 @@ impl MilpSolver {
         let int_vars: Vec<usize> = (0..problem.num_vars())
             .filter(|&j| matches!(problem.vars[j].kind, VarKind::Integer | VarKind::Binary))
             .collect();
+        // With no continuous variable, a rounded point is a complete
+        // assignment: the heuristic checks it instead of solving an LP.
+        let all_integer = int_vars.len() == problem.num_vars();
 
         let root_bounds: Vec<(f64, f64)> =
             problem.vars.iter().map(|v| (v.lower, v.upper)).collect();
@@ -402,7 +395,15 @@ impl MilpSolver {
 
         if self.threads > 1 {
             return self.solve_parallel(
-                problem, model, &int_vars, sense_sign, incumbent, heap, stats, root_basis,
+                problem,
+                model,
+                &int_vars,
+                all_integer,
+                sense_sign,
+                incumbent,
+                heap,
+                stats,
+                root_basis,
             );
         }
         let mut next_seq: u64 = 1;
@@ -435,17 +436,12 @@ impl MilpSolver {
 
             stats.nodes += 1;
             stats.lp_solves += 1;
-            let warm = if self.reuse_bases {
-                node.basis.as_ref()
-            } else {
-                None
-            };
             let (node_outcome, node_lp_stats) = solve_lp_with(
                 problem,
                 model,
                 &LpOptions {
                     bound_overrides: Some(&node.bounds),
-                    warm_basis: warm,
+                    warm_basis: node.basis.as_ref(),
                     engine: self.lp_engine,
                 },
             )?;
@@ -482,22 +478,21 @@ impl MilpSolver {
                     }
                 }
                 Some((bvar, bval)) => {
-                    if self.rounding_heuristic {
-                        if let Some((vals, score)) = self.fix_and_complete(
-                            problem,
-                            model,
-                            &node.bounds,
-                            &lp.values,
-                            child_basis.as_ref(),
-                            &int_vars,
-                            sense_sign,
-                            &mut stats,
-                        )? {
-                            if incumbent.as_ref().is_none_or(|(_, s)| score < *s) {
-                                incumbent = Some((vals, score));
-                                stats.heuristic_incumbents += 1;
-                                tel::count!("flexsp.milp.incumbents");
-                            }
+                    if let Some((vals, score)) = self.fix_and_complete(
+                        problem,
+                        model,
+                        &node.bounds,
+                        &lp.values,
+                        child_basis.as_ref(),
+                        &int_vars,
+                        all_integer,
+                        sense_sign,
+                        &mut stats,
+                    )? {
+                        if incumbent.as_ref().is_none_or(|(_, s)| score < *s) {
+                            incumbent = Some((vals, score));
+                            stats.heuristic_incumbents += 1;
+                            tel::count!("flexsp.milp.incumbents");
                         }
                     }
                     let (lo, hi) = node.bounds[bvar];
@@ -563,6 +558,7 @@ impl MilpSolver {
         problem: &Problem,
         model: Option<&SparseModel>,
         int_vars: &[usize],
+        all_integer: bool,
         sense_sign: f64,
         incumbent: Option<(Vec<f64>, f64)>,
         heap: BinaryHeap<OpenNode>,
@@ -575,6 +571,7 @@ impl MilpSolver {
             problem,
             model,
             int_vars,
+            all_integer,
             sense_sign,
             state: Mutex::new(SearchState {
                 heap,
@@ -621,8 +618,16 @@ impl MilpSolver {
         ))
     }
 
-    /// Rounds the integer part of an LP solution, fixes it, and re-solves
-    /// the LP for the continuous completion (warm from the node's basis).
+    /// The fix-and-complete rounding heuristic: rounds every integer
+    /// variable of a node's LP solution into the node's bounds, fixes it
+    /// there, and returns the completed point with its score if it is
+    /// feasible.
+    ///
+    /// With continuous variables (`all_integer == false`), an LP warm
+    /// from the node's basis completes them. In an all-integer model the
+    /// fixed bounds leave exactly one point, so that point is checked
+    /// directly: no LP, no basis, and the same feasibility test the LP
+    /// path applies to its own result ([`SolveStats::point_checks`]).
     #[allow(clippy::too_many_arguments)]
     fn fix_and_complete(
         &self,
@@ -632,6 +637,7 @@ impl MilpSolver {
         lp_values: &[f64],
         node_basis: Option<&Basis>,
         int_vars: &[usize],
+        all_integer: bool,
         sense_sign: f64,
         stats: &mut SolveStats,
     ) -> Result<Option<(Vec<f64>, f64)>, SolveError> {
@@ -641,33 +647,35 @@ impl MilpSolver {
             let r = r.round();
             fixed[j] = (r, r);
         }
-        stats.lp_solves += 1;
-        let warm = if self.reuse_bases { node_basis } else { None };
-        let (outcome, lp_stats) = solve_lp_with(
-            problem,
-            model,
-            &LpOptions {
-                bound_overrides: Some(&fixed),
-                warm_basis: warm,
-                engine: self.lp_engine,
-            },
-        )?;
-        stats.absorb_lp(&lp_stats);
-        match outcome {
-            LpOutcome::Optimal(s) => {
-                let mut vals = s.values;
-                for &j in int_vars {
-                    vals[j] = vals[j].round();
-                }
-                if problem.is_feasible(&vals, 1e-6) {
-                    let score = sense_sign * problem.objective_value(&vals);
-                    Ok(Some((vals, score)))
-                } else {
-                    Ok(None)
-                }
+        let vals = if all_integer {
+            stats.point_checks += 1;
+            fixed.into_iter().map(|(r, _)| r).collect()
+        } else {
+            stats.lp_solves += 1;
+            let (outcome, lp_stats) = solve_lp_with(
+                problem,
+                model,
+                &LpOptions {
+                    bound_overrides: Some(&fixed),
+                    warm_basis: node_basis,
+                    engine: self.lp_engine,
+                },
+            )?;
+            stats.absorb_lp(&lp_stats);
+            let LpOutcome::Optimal(s) = outcome else {
+                return Ok(None);
+            };
+            let mut vals = s.values;
+            for &j in int_vars {
+                vals[j] = vals[j].round();
             }
-            _ => Ok(None),
+            vals
+        };
+        if !problem.is_feasible(&vals, 1e-6) {
+            return Ok(None);
         }
+        let score = sense_sign * problem.objective_value(&vals);
+        Ok(Some((vals, score)))
     }
 
     /// The budget that stops the search before it expands node number
@@ -722,6 +730,7 @@ impl MilpSolver {
         tel::count!("flexsp.milp.solves");
         tel::count!("flexsp.milp.nodes", stats.nodes);
         tel::count!("flexsp.milp.lp_solves", stats.lp_solves);
+        tel::count!("flexsp.milp.point_checks", stats.point_checks);
         tel::count!("flexsp.milp.matrix_builds", stats.matrix_builds);
         MilpSolution {
             status,
@@ -840,6 +849,8 @@ struct SharedSearch<'a> {
     /// The solve's constraint matrix (`None` for the dense engine).
     model: Option<&'a SparseModel>,
     int_vars: &'a [usize],
+    /// No continuous variables: heuristic completions are point checks.
+    all_integer: bool,
     sense_sign: f64,
     state: Mutex<SearchState>,
     /// Signaled when children are pushed or the search stops.
@@ -994,17 +1005,12 @@ impl SharedSearch<'_> {
         let solver = self.solver;
         stats.nodes += 1;
         stats.lp_solves += 1;
-        let warm = if solver.reuse_bases {
-            node.basis.as_ref()
-        } else {
-            None
-        };
         let (outcome, lp_stats) = solve_lp_with(
             self.problem,
             self.model,
             &LpOptions {
                 bound_overrides: Some(&node.bounds),
-                warm_basis: warm,
+                warm_basis: node.basis.as_ref(),
                 engine: solver.lp_engine,
             },
         )?;
@@ -1032,21 +1038,20 @@ impl SharedSearch<'_> {
                 Ok(Vec::new())
             }
             Some((bvar, bval)) => {
-                if solver.rounding_heuristic {
-                    if let Some((vals, score)) = solver.fix_and_complete(
-                        self.problem,
-                        self.model,
-                        &node.bounds,
-                        &lp.values,
-                        child_basis.as_ref(),
-                        self.int_vars,
-                        self.sense_sign,
-                        stats,
-                    )? {
-                        if score < self.best_score() {
-                            stats.heuristic_incumbents += 1;
-                            self.try_improve(vals, score);
-                        }
+                if let Some((vals, score)) = solver.fix_and_complete(
+                    self.problem,
+                    self.model,
+                    &node.bounds,
+                    &lp.values,
+                    child_basis.as_ref(),
+                    self.int_vars,
+                    self.all_integer,
+                    self.sense_sign,
+                    stats,
+                )? {
+                    if score < self.best_score() {
+                        stats.heuristic_incumbents += 1;
+                        self.try_improve(vals, score);
                     }
                 }
                 let mut children = Vec::with_capacity(2);
@@ -1088,6 +1093,7 @@ impl SharedSearch<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_rng::Rng;
     use crate::{LinExpr, Problem, VarKind};
 
     fn approx(a: f64, b: f64) {
@@ -1249,13 +1255,12 @@ mod tests {
         approx(sol.value(x), 2.0);
     }
 
-    #[test]
-    fn minmax_via_auxiliary_variable() {
-        // Mirror of the planner's makespan objective: minimize C with
-        // C >= load_g for two "groups"; items: 5, 3, 2 assigned binarily.
+    /// Mirror of the planner's makespan objective: minimize a continuous
+    /// C with C >= load_g for two "groups"; items of weights `w` are
+    /// assigned binarily.
+    fn two_group_makespan(w: &[f64]) -> Problem {
         let mut p = Problem::minimize();
         let c = p.add_var("C", VarKind::Continuous, 0.0, f64::INFINITY);
-        let w = [5.0, 3.0, 2.0];
         let mut assign = Vec::new();
         for (i, _) in w.iter().enumerate() {
             let a = p.add_binary(format!("a{i}")); // 1 = group A, 0 = group B
@@ -1270,7 +1275,14 @@ mod tests {
         p.add_constraint(load_a.clone() - LinExpr::term(c, 1.0), crate::Cmp::Le, 0.0);
         p.add_constraint(load_b.clone() - LinExpr::term(c, 1.0), crate::Cmp::Le, 0.0);
         p.set_objective(LinExpr::term(c, 1.0));
-        let sol = MilpSolver::new().solve(&p).unwrap();
+        p
+    }
+
+    #[test]
+    fn minmax_via_auxiliary_variable() {
+        let sol = MilpSolver::new()
+            .solve(&two_group_makespan(&[5.0, 3.0, 2.0]))
+            .unwrap();
         approx(sol.objective(), 5.0); // {5} vs {3,2}
     }
 
@@ -1463,6 +1475,141 @@ mod tests {
         assert_eq!(sol.status(), MilpStatus::Infeasible);
         assert!(stopped(&sol, StopReason::InfeasibleRoot));
         assert_eq!((sol.stats().matrix_builds, sol.stats().lp_solves), (1, 0));
+    }
+
+    #[test]
+    fn all_integer_completions_solve_no_lp() {
+        let (p, _) = wide_knapsack();
+        for threads in [1, 4] {
+            let s = MilpSolver::new()
+                .threads(threads)
+                .solve(&p)
+                .unwrap()
+                .stats();
+            // The root LP, then one LP per node and none per completion.
+            assert_eq!(s.lp_solves, s.nodes + 1, "threads={threads}: {s:?}");
+            assert!(s.point_checks > 0, "threads={threads}: {s:?}");
+        }
+        // A continuous variable keeps the completion LP. The relaxation
+        // splits 16 evenly, so the search has to branch.
+        let mixed = MilpSolver::new()
+            .solve(&two_group_makespan(&[7.0, 5.0, 4.0]))
+            .unwrap();
+        approx(mixed.objective(), 9.0); // {7} vs {5,4}
+        let s = mixed.stats();
+        assert!(s.lp_solves > s.nodes + 1, "{s:?}");
+        assert_eq!(s.point_checks, 0);
+    }
+
+    /// An all-integer problem with integer coefficients: 2–6 variables
+    /// with upper bounds 1–5 and 1–5 rows, mostly `≤`.
+    fn random_integer_problem(rng: &mut Rng) -> Problem {
+        let mut p = if rng.int(0, 1) == 0 {
+            Problem::minimize()
+        } else {
+            Problem::maximize()
+        };
+        let vars: Vec<_> = (0..rng.int(2, 6))
+            .map(|i| p.add_var(format!("x{i}"), VarKind::Integer, 0.0, rng.int(1, 5) as f64))
+            .collect();
+        for _ in 0..rng.int(1, 5) {
+            let mut e = LinExpr::new();
+            for &v in &vars {
+                if rng.int(0, 2) > 0 {
+                    e.add_term(v, rng.int(-3, 3) as f64);
+                }
+            }
+            let rhs = rng.int(-2, 12) as f64;
+            match rng.int(0, 5) {
+                0 => p.add_ge(e, rhs),
+                1 => p.add_eq(e, rhs),
+                _ => p.add_le(e, rhs),
+            };
+        }
+        p.set_objective(LinExpr::from_terms(
+            vars.iter()
+                .map(|&v| (v, rng.int(-5, 5) as f64))
+                .collect::<Vec<_>>(),
+        ));
+        p
+    }
+
+    #[test]
+    fn point_check_matches_the_warm_completion_lp() {
+        let mut rng = Rng(0xf1c5_c0de);
+        let solver = MilpSolver::new();
+        let (mut by_lp_stats, mut by_point_stats) = (SolveStats::default(), SolveStats::default());
+        let (mut feasible, mut infeasible) = (0, 0);
+        for _ in 0..400 {
+            let p = random_integer_problem(&mut rng);
+            let BuildOutcome::Model(model) = SparseModel::build(&p) else {
+                continue;
+            };
+            let int_vars: Vec<usize> = (0..p.num_vars()).collect();
+            let sense_sign = match p.sense() {
+                ObjectiveSense::Minimize => 1.0,
+                ObjectiveSense::Maximize => -1.0,
+            };
+            for _ in 0..8 {
+                // Node bounds as branching makes them, the node's basis,
+                // and a fractional point to round (not always in bounds).
+                let bounds: Vec<(f64, f64)> = p
+                    .vars
+                    .iter()
+                    .map(|d| {
+                        let lo = rng.int(0, d.upper as i64);
+                        (lo as f64, rng.int(lo, d.upper as i64) as f64)
+                    })
+                    .collect();
+                let (node, _) = solve_lp_with(
+                    &p,
+                    Some(&model),
+                    &LpOptions {
+                        bound_overrides: Some(&bounds),
+                        ..Default::default()
+                    },
+                )
+                .unwrap();
+                let basis = node.optimal().and_then(|s| s.basis().cloned());
+                let point: Vec<f64> = bounds
+                    .iter()
+                    .map(|&(lo, hi)| rng.int(8 * lo as i64 - 8, 8 * hi as i64 + 8) as f64 / 8.0)
+                    .collect();
+                let complete = |all_integer, stats: &mut SolveStats| {
+                    solver
+                        .fix_and_complete(
+                            &p,
+                            Some(&model),
+                            &bounds,
+                            &point,
+                            basis.as_ref(),
+                            &int_vars,
+                            all_integer,
+                            sense_sign,
+                            stats,
+                        )
+                        .unwrap()
+                };
+                let by_lp = complete(false, &mut by_lp_stats);
+                let by_point = complete(true, &mut by_point_stats);
+                // `==` on the values: the LP may return -0.0 for +0.0.
+                assert_eq!(by_point, by_lp, "{p:?} bounds {bounds:?} point {point:?}");
+                if by_point.is_some() {
+                    feasible += 1;
+                } else {
+                    infeasible += 1;
+                }
+            }
+        }
+        let checks = feasible + infeasible;
+        assert_eq!(by_point_stats.point_checks, checks);
+        assert_eq!(by_point_stats.lp_solves, 0);
+        assert_eq!(by_lp_stats.lp_solves, checks);
+        assert_eq!(by_lp_stats.point_checks, 0);
+        assert!(
+            feasible >= 500 && infeasible >= 2000 && by_lp_stats.basis_reuse_hits >= 700,
+            "{feasible} feasible, {infeasible} infeasible, {by_lp_stats:?}"
+        );
     }
 
     /// Integer-infeasible, but only branching can tell: `2(x1 + … + x6)

@@ -40,6 +40,13 @@
 //!   differ only in variable bounds, so [`MilpSolver::solve`] builds the
 //!   sparse constraint matrix once and every relaxation of that solve
 //!   reuses it ([`SolveStats::matrix_builds`]).
+//! * **Rounding heuristic** — at each node whose relaxation is
+//!   fractional, [`MilpSolver`] rounds the integer variables into the
+//!   node's bounds, fixes them, and completes the continuous variables
+//!   with an LP warm from the node's basis; a feasible result is a
+//!   candidate incumbent. When every variable is an integer, the fixed
+//!   bounds leave a single point, so the heuristic checks that point
+//!   directly and solves no LP ([`SolveStats::point_checks`]).
 //! * **Engines** — [`LpEngine::SparseRevised`] (default) runs a revised
 //!   simplex over sparse columns with an LU-factored basis and eta
 //!   updates; [`LpEngine::DenseTableau`] keeps the original dense tableau
@@ -89,6 +96,8 @@ mod revised;
 mod simplex;
 mod solution;
 mod sparse;
+#[cfg(test)]
+mod test_rng;
 
 pub use basis::Basis;
 pub use branch_bound::{MilpSolver, SolveStats, StopCounts, StopReason};

@@ -257,6 +257,7 @@ fn check_overrides(problem: &Problem, opts: &LpOptions<'_>) -> Result<(), SolveE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_rng::Rng;
     use crate::{LinExpr, VarKind};
 
     fn approx(a: f64, b: f64) {
@@ -463,24 +464,6 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(warm, LpOutcome::Infeasible));
-    }
-
-    /// SplitMix64, seeding the random problems below.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-
-        /// Uniform integer in `lo..=hi`.
-        fn int(&mut self, lo: i64, hi: i64) -> i64 {
-            lo + (self.next() % (hi - lo + 1) as u64) as i64
-        }
     }
 
     /// A bounded LP with 2–8 variables and 1–6 mixed-sense rows.
