@@ -116,24 +116,32 @@ pub fn bucket_dp(seqs: &[Sequence], q: usize) -> Vec<Bucket> {
     let cost =
         |j: usize, i: usize| -> u64 { (pc[i] - pc[j]) * distinct[i - 1].0 - (ps[i] - ps[j]) };
 
-    // err[i][b]: min error bucketing the first i distinct values into b
-    // buckets (Eq. 16).
+    // err[b·(d+1) + i]: min error bucketing the first i distinct values
+    // into b buckets (Eq. 16). Rows are b-major, so the inner scan over j
+    // reads row b − 1 contiguously.
     const INF: u64 = u64::MAX / 2;
-    let mut err = vec![vec![INF; q + 1]; d + 1];
-    let mut from = vec![vec![0usize; q + 1]; d + 1];
-    err[0][0] = 0;
+    let row = d + 1;
+    let mut err = vec![INF; (q + 1) * row];
+    let mut from = vec![0usize; (q + 1) * row];
+    err[0] = 0;
     for b in 1..=q {
-        for i in 1..=d {
-            for j in (b - 1)..i {
-                if err[j][b - 1] == INF {
+        let (prev, cur) = err.split_at_mut(b * row);
+        let prev = &prev[(b - 1) * row..];
+        // Fewer than b values cannot fill b buckets: those cells keep INF.
+        for i in b..=d {
+            let (mut best, mut arg) = (INF, 0);
+            for (j, &e) in (b - 1..i).zip(&prev[b - 1..i]) {
+                if e == INF {
                     continue;
                 }
-                let c = err[j][b - 1] + cost(j, i);
-                if c < err[i][b] {
-                    err[i][b] = c;
-                    from[i][b] = j;
+                let c = e + cost(j, i);
+                if c < best {
+                    best = c;
+                    arg = j;
                 }
             }
+            cur[i] = best;
+            from[b * row + i] = arg;
         }
     }
 
@@ -141,7 +149,7 @@ pub fn bucket_dp(seqs: &[Sequence], q: usize) -> Vec<Bucket> {
     let mut bounds = Vec::with_capacity(q);
     let (mut i, mut b) = (d, q);
     while b > 0 {
-        let j = from[i][b];
+        let j = from[b * row + i];
         bounds.push((j, i));
         i = j;
         b -= 1;

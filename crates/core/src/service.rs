@@ -10,13 +10,17 @@
 //! submission queue fans batches out to parallel [`FlexSpSolver`] workers
 //! and a reorder buffer delivers plans strictly in submission order.
 //!
-//! Workers additionally share an **LRU plan cache** keyed by the batch's
-//! length histogram (plus GPU count and solver-config fingerprint):
-//! training corpora repeat batch *shapes* constantly — identical sorted
-//! length multisets whose sequence ids differ — and for a recurring shape
-//! the cached [`SolvedIteration`] is rebound to the new ids instead of
-//! re-running the whole MILP workflow. Cache hits are delivered with
-//! `from_cache = true` and near-zero `solve_wall_s`.
+//! Workers additionally share a **segmented-LRU plan cache** keyed by the
+//! batch's length histogram (plus GPU count and solver-config
+//! fingerprint): training corpora repeat batch *shapes* constantly —
+//! identical sorted length multisets whose sequence ids differ — and for
+//! a recurring shape the cached [`SolvedIteration`] is rebound to the new
+//! ids instead of re-running the whole MILP workflow. Cache hits are
+//! delivered with `from_cache = true` and near-zero `solve_wall_s`. A new
+//! plan enters the cache on *probation* and moves to a *protected*
+//! segment on its first hit, so a stream of one-off shapes cycles
+//! through probation without displacing the recurring shapes that carry
+//! most requests.
 //!
 //! The cache is **sharded** (16 `RwLock`ed shards hashed by key) so hits
 //! never funnel through one mutex, and misses are **single-flighted**:
@@ -26,7 +30,7 @@
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrd};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtomicOrd};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 
@@ -66,8 +70,12 @@ pub struct CacheStats {
     /// Batches that piggybacked on another worker's identical in-flight
     /// solve instead of running their own (single-flight waiters).
     pub coalesced: u64,
-    /// Plans displaced by the LRU capacity bound.
+    /// Plans displaced by the capacity bound (the coldest probationary
+    /// plan, or the coldest protected one when probation is empty).
     pub evictions: u64,
+    /// Plans moved from probation to the protected segment by their
+    /// first hit.
+    pub promotions: u64,
     /// Plans currently cached.
     pub entries: usize,
 }
@@ -80,6 +88,7 @@ impl CacheStats {
         self.misses += other.misses;
         self.coalesced += other.coalesced;
         self.evictions += other.evictions;
+        self.promotions += other.promotions;
         self.entries = self.entries.max(other.entries);
     }
 }
@@ -92,9 +101,13 @@ const CACHE_SHARDS: usize = 16;
 #[derive(Debug)]
 struct CacheEntry {
     value: SolvedIteration,
-    /// Global LRU stamp (larger = hotter), bumped with a relaxed atomic
-    /// store under the shard *read* lock so hits never serialize.
+    /// Global recency stamp (larger = hotter), bumped with a relaxed
+    /// atomic store under the shard *read* lock so hits never serialize.
+    /// Orders entries within each segment.
     last_access: AtomicU64,
+    /// Segment: `false` on probation, `true` protected. Flipped only
+    /// under a shard lock, together with the cache's protected count.
+    protected: AtomicBool,
 }
 
 /// One in-flight solve other workers can wait on instead of duplicating
@@ -111,17 +124,26 @@ enum FlightRole {
     Waiter(Arc<Flight>),
 }
 
-/// A sharded, mostly-read-lock-free LRU plan cache.
+/// A sharded, mostly-read-lock-free segmented-LRU plan cache.
 ///
 /// Keys hash to one of [`CACHE_SHARDS`] independent `RwLock`ed maps, so
 /// the read path (the overwhelmingly common one for recurring batch
 /// shapes) takes a shared lock on 1/16th of the key space and never
 /// blocks readers of other shards — replacing the single global mutex
 /// every hit and miss used to funnel through. Recency is tracked with a
-/// global atomic clock stamped into each entry on access: eviction
-/// scans for the minimum stamp across shards, which keeps the *global*
-/// capacity bound and coldest-first order of the old LRU without any
-/// cross-shard lock.
+/// global atomic clock stamped into each entry on access, and eviction
+/// scans for the minimum stamp across shards, which keeps a *global*
+/// capacity bound without any cross-shard lock.
+///
+/// Entries live in two segments. A fresh plan enters *probation*; its
+/// first hit promotes it to *protected*, which holds at most 9/10 of
+/// the capacity — an overflow demotes the protected entry with the
+/// oldest stamp back to probation. Eviction takes the oldest
+/// probationary entry and falls back to the oldest protected one only
+/// when probation is empty. Shapes seen once therefore displace each
+/// other, not the recurring shapes that have been hit. Below capacity
+/// 10 the protected cap rounds down, and at capacity 1 it is 0: no
+/// entry is ever promoted and the policy is plain LRU.
 ///
 /// Misses are **single-flighted**: the first worker to miss a key
 /// becomes the leader and solves; workers missing the same key while
@@ -132,11 +154,16 @@ enum FlightRole {
 #[derive(Debug)]
 struct ShardedPlanCache {
     capacity: usize,
+    /// Most entries the protected segment holds (`capacity · 9 / 10`).
+    protected_cap: usize,
     shards: Vec<RwLock<HashMap<CacheKey, CacheEntry>>>,
-    /// Monotonic access clock backing the approximate-LRU stamps.
+    /// Monotonic access clock backing the recency stamps.
     clock: AtomicU64,
     /// Total entries across shards (the capacity bound is global).
     len: AtomicUsize,
+    /// Protected entries across shards: changed only together with an
+    /// entry's `protected` flag, under that entry's shard lock.
+    protected: AtomicUsize,
     /// Per-instance counters behind [`CacheStats`] (telemetry
     /// primitives — always live; the global `flexsp.cache.*` registry
     /// mirrors are feature-gated).
@@ -144,6 +171,7 @@ struct ShardedPlanCache {
     misses: Counter,
     coalesced: Counter,
     evictions: Counter,
+    promotions: Counter,
     /// In-flight solves by key (single-flight registry).
     flights: Mutex<HashMap<CacheKey, Arc<Flight>>>,
 }
@@ -158,15 +186,18 @@ impl ShardedPlanCache {
     fn new(capacity: usize) -> Self {
         Self {
             capacity,
+            protected_cap: capacity * 9 / 10,
             shards: (0..CACHE_SHARDS)
                 .map(|_| RwLock::new(HashMap::new()))
                 .collect(),
             clock: AtomicU64::new(0),
             len: AtomicUsize::new(0),
+            protected: AtomicUsize::new(0),
             hits: Counter::new(),
             misses: Counter::new(),
             coalesced: Counter::new(),
             evictions: Counter::new(),
+            promotions: Counter::new(),
             flights: Mutex::new(HashMap::new()),
         }
     }
@@ -176,16 +207,51 @@ impl ShardedPlanCache {
     }
 
     /// Read path: shared lock on one shard, recency bump via atomic
-    /// store. Does *not* count misses — a missing key proceeds to the
-    /// flight registry, where exactly one worker is charged the miss.
+    /// store. A probationary entry's first hit promotes it; if that
+    /// overfills the protected segment, the demotion scan runs after the
+    /// read guard is dropped. Does *not* count misses — a missing key
+    /// proceeds to the flight registry, where exactly one worker is
+    /// charged the miss.
     fn get(&self, key: &CacheKey) -> Option<SolvedIteration> {
-        let shard = self.shard(key).read().unwrap_or_else(|e| e.into_inner());
-        let entry = shard.get(key)?;
-        let stamp = self.clock.fetch_add(1, AtomicOrd::Relaxed) + 1;
-        entry.last_access.store(stamp, AtomicOrd::Relaxed);
+        let (value, promoted) = {
+            let shard = self.shard(key).read().unwrap_or_else(|e| e.into_inner());
+            let entry = shard.get(key)?;
+            let stamp = self.clock.fetch_add(1, AtomicOrd::Relaxed) + 1;
+            entry.last_access.store(stamp, AtomicOrd::Relaxed);
+            let promoted = self.protected_cap > 0
+                && !entry.protected.load(AtomicOrd::Relaxed)
+                && self.promote(entry);
+            (entry.value.clone(), promoted)
+        };
         self.hits.inc();
         tel::count!("flexsp.cache.hits");
-        Some(entry.value.clone())
+        if promoted {
+            self.promotions.inc();
+            tel::count!("flexsp.cache.promotions");
+            while self.protected.load(AtomicOrd::Relaxed) > self.protected_cap {
+                if !self.demote_coldest_protected() {
+                    break;
+                }
+            }
+        }
+        Some(value)
+    }
+
+    /// Flips a probationary entry to protected; `false` if another
+    /// worker got there first. The count is raised *before* the flag
+    /// and, in [`Self::demote_coldest_protected`], lowered *after* it
+    /// (the release/acquire pair orders the two), so it never drops
+    /// below the number of protected flags, even mid-race.
+    fn promote(&self, entry: &CacheEntry) -> bool {
+        self.protected.fetch_add(1, AtomicOrd::Relaxed);
+        let won = entry
+            .protected
+            .compare_exchange(false, true, AtomicOrd::Release, AtomicOrd::Relaxed)
+            .is_ok();
+        if !won {
+            self.protected.fetch_sub(1, AtomicOrd::Relaxed);
+        }
+        won
     }
 
     fn insert(&self, key: CacheKey, value: SolvedIteration) {
@@ -195,17 +261,24 @@ impl ShardedPlanCache {
         let stamp = self.clock.fetch_add(1, AtomicOrd::Relaxed) + 1;
         {
             let mut shard = self.shard(&key).write().unwrap_or_else(|e| e.into_inner());
-            let fresh = shard
-                .insert(
-                    key,
-                    CacheEntry {
-                        value,
-                        last_access: AtomicU64::new(stamp),
-                    },
-                )
-                .is_none();
-            if fresh {
-                self.len.fetch_add(1, AtomicOrd::Relaxed);
+            let replaced = shard.insert(
+                key,
+                CacheEntry {
+                    value,
+                    last_access: AtomicU64::new(stamp),
+                    protected: AtomicBool::new(false),
+                },
+            );
+            // A re-inserted key starts over on probation.
+            match replaced {
+                None => {
+                    self.len.fetch_add(1, AtomicOrd::Relaxed);
+                }
+                Some(old) => {
+                    if old.protected.into_inner() {
+                        self.protected.fetch_sub(1, AtomicOrd::Relaxed);
+                    }
+                }
             }
         }
         tel::gauge!(
@@ -219,24 +292,57 @@ impl ShardedPlanCache {
         }
     }
 
-    /// Evicts the entry with the globally minimal access stamp. Returns
-    /// `false` if the cache raced to empty (nothing left to evict).
-    fn evict_coldest(&self) -> bool {
-        let mut coldest: Option<(u64, usize, CacheKey)> = None;
+    /// The entry with the globally minimal stamp in each segment, as
+    /// `[probation, protected]` (shard index and key).
+    fn coldest(&self) -> [Option<(usize, CacheKey)>; 2] {
+        let mut coldest: [Option<(u64, usize, CacheKey)>; 2] = [None, None];
         for (i, shard) in self.shards.iter().enumerate() {
             let shard = shard.read().unwrap_or_else(|e| e.into_inner());
             for (key, entry) in shard.iter() {
                 let stamp = entry.last_access.load(AtomicOrd::Relaxed);
-                if coldest.as_ref().is_none_or(|(s, _, _)| stamp < *s) {
-                    coldest = Some((stamp, i, key.clone()));
+                let seg = &mut coldest[usize::from(entry.protected.load(AtomicOrd::Relaxed))];
+                if seg.as_ref().is_none_or(|(s, _, _)| stamp < *s) {
+                    *seg = Some((stamp, i, key.clone()));
                 }
             }
         }
-        let Some((_, i, key)) = coldest else {
+        coldest.map(|c| c.map(|(_, i, key)| (i, key)))
+    }
+
+    /// Moves the oldest protected entry back to probation. Returns
+    /// `false` if no entry is protected.
+    fn demote_coldest_protected(&self) -> bool {
+        let [_, Some((i, key))] = self.coldest() else {
+            return false;
+        };
+        let shard = self.shards[i].read().unwrap_or_else(|e| e.into_inner());
+        let demoted = shard.get(&key).is_some_and(|entry| {
+            entry
+                .protected
+                .compare_exchange(true, false, AtomicOrd::Acquire, AtomicOrd::Relaxed)
+                .is_ok()
+        });
+        if demoted {
+            self.protected.fetch_sub(1, AtomicOrd::Relaxed);
+        }
+        // Demoted (or another worker got there first) — either way the
+        // caller re-checks the protected cap.
+        true
+    }
+
+    /// Evicts the oldest probationary entry, or the oldest protected one
+    /// if probation is empty. Returns `false` if the cache raced to
+    /// empty (nothing left to evict).
+    fn evict_coldest(&self) -> bool {
+        let [probation, protected] = self.coldest();
+        let Some((i, key)) = probation.or(protected) else {
             return false;
         };
         let mut shard = self.shards[i].write().unwrap_or_else(|e| e.into_inner());
-        if shard.remove(&key).is_some() {
+        if let Some(old) = shard.remove(&key) {
+            if old.protected.into_inner() {
+                self.protected.fetch_sub(1, AtomicOrd::Relaxed);
+            }
             self.len.fetch_sub(1, AtomicOrd::Relaxed);
             self.evictions.inc();
             tel::count!("flexsp.cache.evictions");
@@ -356,6 +462,7 @@ impl ShardedPlanCache {
             misses: self.misses.get(),
             coalesced: self.coalesced.get(),
             evictions: self.evictions.get(),
+            promotions: self.promotions.get(),
             entries: self.len.load(AtomicOrd::Relaxed),
         }
     }
@@ -501,7 +608,8 @@ fn rebind(mut out: SolvedIteration, batch: &[Sequence]) -> Option<SolvedIteratio
 }
 
 /// A pool of solver workers delivering plans in submission order, with a
-/// shared LRU cache over recurring batch shapes.
+/// shared segmented-LRU cache over recurring batch shapes: a plan's
+/// first hit protects it from eviction by shapes that occur only once.
 ///
 /// # Example
 ///
@@ -915,6 +1023,204 @@ mod tests {
         assert_eq!(stats.misses, 65, "an evicted fingerprint must re-solve");
         assert_eq!(solves.load(Ordering::SeqCst), 65);
         assert_eq!(stats.entries, 8);
+    }
+
+    /// Serves shape `k` through `cache` with a stub solve (an empty plan
+    /// for an empty batch); returns whether it was a hit.
+    fn serve_stub(cache: &ShardedPlanCache, k: u64) -> bool {
+        let stub = || {
+            Ok(SolvedIteration {
+                plan: crate::plan::IterationPlan::default(),
+                predicted_s: 1.0,
+                solve_wall_s: 0.0,
+                trials: Vec::new(),
+                stats: crate::plan::PlanStats::default(),
+                from_cache: false,
+            })
+        };
+        cache
+            .serve(&(Vec::new(), 16, k), &[], stub)
+            .expect("the stub always plans")
+            .from_cache
+    }
+
+    /// Asserts the segment bookkeeping matches the entries: `len` and the
+    /// protected count equal what the shards hold, within the caps.
+    fn assert_segments_exact(cache: &ShardedPlanCache) {
+        let (mut entries, mut protected) = (0, 0);
+        for shard in &cache.shards {
+            let shard = shard.read().unwrap();
+            entries += shard.len();
+            protected += shard
+                .values()
+                .filter(|e| e.protected.load(AtomicOrd::Relaxed))
+                .count();
+        }
+        assert_eq!(cache.len.load(AtomicOrd::Relaxed), entries);
+        assert_eq!(cache.protected.load(AtomicOrd::Relaxed), protected);
+        assert!(entries <= cache.capacity);
+        assert!(protected <= cache.protected_cap);
+    }
+
+    #[test]
+    fn a_hit_shape_survives_a_scan_of_one_off_shapes() {
+        // Plain LRU evicts A here: after its hit, four one-off shapes
+        // arrive, and A is the oldest of five. The segmented cache keeps
+        // A in the protected segment; the one-offs evict each other.
+        let cache = ShardedPlanCache::new(4);
+        const A: u64 = 100;
+        assert!(!serve_stub(&cache, A));
+        assert!(serve_stub(&cache, A));
+        for k in 0..4 {
+            assert!(!serve_stub(&cache, k));
+        }
+        assert!(serve_stub(&cache, A), "the recurring shape must survive");
+        let stats = cache.stats();
+        assert_eq!(stats.promotions, 1);
+        assert_eq!(stats.evictions, 1, "the first one-off went, not A");
+        assert_segments_exact(&cache);
+    }
+
+    #[test]
+    fn segment_bookkeeping_is_exact_on_reinsert_and_tiny_capacities() {
+        // Re-inserting a protected key puts it back on probation.
+        let cache = ShardedPlanCache::new(4);
+        serve_stub(&cache, 1);
+        serve_stub(&cache, 1);
+        assert_eq!(cache.protected.load(AtomicOrd::Relaxed), 1);
+        let key: CacheKey = (Vec::new(), 16, 1);
+        let plan = cache.get(&key).expect("resident");
+        cache.insert(key, plan);
+        assert_segments_exact(&cache);
+        assert_eq!(cache.protected.load(AtomicOrd::Relaxed), 0);
+        // Fill the protected segment (cap 4·9/10 = 3) with 2, 3, 4.
+        for k in 2..=4 {
+            serve_stub(&cache, k);
+            serve_stub(&cache, k);
+        }
+        assert_eq!(cache.protected.load(AtomicOrd::Relaxed), 3);
+        // Promoting 1 overfills it and demotes the oldest, 2.
+        assert!(serve_stub(&cache, 1));
+        assert_eq!(cache.stats().promotions, 5);
+        assert_segments_exact(&cache);
+        // A new shape evicts the oldest probationer, the demoted 2 ...
+        assert!(!serve_stub(&cache, 5));
+        assert!(!serve_stub(&cache, 2), "the demoted entry was evicted");
+        // ... and 2's return evicts 5; the protected three stay.
+        assert_eq!(cache.stats().evictions, 2);
+        for k in [1, 3, 4] {
+            assert!(serve_stub(&cache, k), "protected shape {k} must hit");
+        }
+        assert!(!serve_stub(&cache, 5));
+        assert_segments_exact(&cache);
+        // Capacity 1: the protected cap is 0, so nothing is promoted and
+        // the policy is plain LRU.
+        let one = ShardedPlanCache::new(1);
+        serve_stub(&one, 1);
+        assert!(serve_stub(&one, 1));
+        assert!(!serve_stub(&one, 2));
+        assert!(!serve_stub(&one, 1), "LRU at capacity 1");
+        assert_eq!(one.stats().promotions, 0);
+        assert_segments_exact(&one);
+        // Capacity 0 stores nothing.
+        let zero = ShardedPlanCache::new(0);
+        serve_stub(&zero, 1);
+        assert!(!serve_stub(&zero, 1));
+        assert_eq!(zero.stats().entries, 0);
+        assert_segments_exact(&zero);
+    }
+
+    /// `warmup + n` requests over `shapes` keys, dealt from a deck that
+    /// holds each Zipf(1) rank `max(1, round(1024·w_r/Σw))` times and is
+    /// reshuffled (Fisher-Yates, SplitMix64) at each refill. With
+    /// `drift`, the rank → key map is re-permuted every `drift` requests.
+    fn zipf_stream(seed: u64, shapes: usize, len: usize, drift: Option<usize>) -> Vec<u64> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut shuffle = |v: &mut [u64]| {
+            for i in (1..v.len()).rev() {
+                v.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+        };
+        let total: f64 = (1..=shapes).map(|r| 1.0 / r as f64).sum();
+        let full: Vec<u64> = (1..=shapes)
+            .flat_map(|r| {
+                let copies = ((1024.0 / r as f64 / total).round() as usize).max(1);
+                std::iter::repeat_n(r as u64 - 1, copies)
+            })
+            .collect();
+        let mut key_of: Vec<u64> = (0..shapes as u64).collect();
+        let mut deck: Vec<u64> = Vec::new();
+        (0..len)
+            .map(|i| {
+                if drift.is_some_and(|d| i > 0 && i % d == 0) {
+                    shuffle(&mut key_of);
+                }
+                if deck.is_empty() {
+                    deck = full.clone();
+                    shuffle(&mut deck);
+                }
+                key_of[deck.pop().expect("refilled") as usize]
+            })
+            .collect()
+    }
+
+    /// Hit ratio of `stream[warmup..]` through a capacity-128 cache.
+    fn replay_hit_ratio(stream: &[u64], warmup: usize) -> f64 {
+        let cache = ShardedPlanCache::new(128);
+        for &k in &stream[..warmup] {
+            serve_stub(&cache, k);
+        }
+        let hits = stream[warmup..]
+            .iter()
+            .filter(|&&k| serve_stub(&cache, k))
+            .count();
+        assert_segments_exact(&cache);
+        hits as f64 / (stream.len() - warmup) as f64
+    }
+
+    /// The same, through a plain LRU reference of capacity 128.
+    fn lru_hit_ratio(stream: &[u64], warmup: usize) -> f64 {
+        let mut stamps: HashMap<u64, usize> = HashMap::new();
+        let mut hits = 0;
+        for (t, &k) in stream.iter().enumerate() {
+            hits += usize::from(t >= warmup && stamps.contains_key(&k));
+            stamps.insert(k, t);
+            if stamps.len() > 128 {
+                let coldest = stamps.iter().min_by_key(|(_, &s)| s).map(|(&k, _)| k);
+                stamps.remove(&coldest.expect("over capacity"));
+            }
+        }
+        hits as f64 / (stream.len() - warmup) as f64
+    }
+
+    #[test]
+    fn zipf_replay_keeps_the_popular_shapes_resident() {
+        // The plan_serving request mix: Zipf(1) over 192 shapes, 128
+        // slots. The 128 most popular shapes carry ≈94% of requests;
+        // plain LRU hits ≈0.855 because each one-off shape displaces a
+        // popular plan.
+        const WARMUP: usize = 64;
+        let stream = zipf_stream(1, 192, WARMUP + 15_000, None);
+        let lru = lru_hit_ratio(&stream, WARMUP);
+        let slru = replay_hit_ratio(&stream, WARMUP);
+        assert!(lru < 0.87, "LRU reference hit ratio {lru:.4}");
+        assert!(slru >= 0.90, "segmented hit ratio {slru:.4} (LRU {lru:.4})");
+        // Popularity re-permuted every 1 000 requests: protection must
+        // not pin stale shapes below what plain LRU achieves.
+        let drifting = zipf_stream(1, 192, WARMUP + 15_000, Some(1000));
+        let lru = lru_hit_ratio(&drifting, WARMUP);
+        let slru = replay_hit_ratio(&drifting, WARMUP);
+        assert!(
+            slru >= lru,
+            "under drift the segmented cache hit {slru:.4}, LRU {lru:.4}"
+        );
     }
 
     #[test]
